@@ -14,6 +14,7 @@
 #include "baselines/loader.hpp"
 #include "baselines/pipelined_fetcher.hpp"
 #include "core/access_stream.hpp"
+#include "tiers/clock.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -38,15 +39,16 @@ core::StreamConfig stream_config_of(const LoaderContext& ctx) {
   return config;
 }
 
-/// Charges preprocessing (sleep at beta) and the staging-buffer store.
+/// Charges preprocessing (paced at beta) and the staging-buffer store.
 void charge_preprocess_and_stage(const LoaderContext& ctx, double mb,
                                  double preprocess_speedup = 1.0) {
   if (ctx.devices == nullptr) return;
   ctx.devices->staging->write(mb);
   const double beta = ctx.system->node.preprocess_mbps * preprocess_speedup;
   if (beta > 0.0 && ctx.time_scale > 0.0) {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(mb / beta / ctx.time_scale));
+    // One pacer per calling thread (pool workers, consumers): no shared debt.
+    thread_local tiers::Pacer pacer(tiers::real_clock());
+    pacer.charge(mb / beta / ctx.time_scale);
   }
 }
 

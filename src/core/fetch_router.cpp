@@ -1,8 +1,10 @@
 #include "core/fetch_router.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/log.hpp"
+#include "util/units.hpp"
 
 namespace nopfs::core {
 
@@ -111,7 +113,8 @@ void FetchRouter::wait_if_inflight(data::SampleId sample) {
   util::log_trace("rank ", rank_, ": in-flight wait done for sample ", sample);
 }
 
-Bytes FetchRouter::fetch_from_source(data::SampleId sample, double size_mb) {
+std::optional<Bytes> FetchRouter::fetch_remote(data::SampleId sample, double size_mb,
+                                               std::size_t expected_bytes) {
   int remote_cls = -1;
   int remote_peer = -1;
   if (options_.use_remote && transport_ != nullptr && transport_->world_size() > 1) {
@@ -133,53 +136,88 @@ Bytes FetchRouter::fetch_from_source(data::SampleId sample, double size_mb) {
   const int gamma = model_.params().num_workers;
   const FetchChoice choice =
       model_.choose_fetch(size_mb, /*local=*/-1, remote_cls, remote_peer, gamma);
+  if (choice.source != FetchSource::kRemote) return std::nullopt;
 
-  if (choice.source == FetchSource::kRemote) {
-    auto bytes = transport_->fetch_sample(choice.peer, sample);
-    if (bytes.has_value()) {
-      ++stats_.remote_fetches;
-      stats_.add_mb(stats_.remote_mb, size_mb);
-      return std::move(*bytes);
-    }
-    // Heuristic false positive: detected, not an error (Sec. 5.2.2).
-    ++stats_.remote_misses;
+  auto bytes = transport_->fetch_sample(choice.peer, sample);
+  // A payload of the wrong length is never delivered in part: it counts
+  // as a miss like an absent one.
+  if (bytes.has_value() && bytes->size() == expected_bytes) {
+    ++stats_.remote_fetches;
+    stats_.add_mb(stats_.remote_mb, size_mb);
+    return bytes;
   }
+  // Heuristic false positive: detected, not an error (Sec. 5.2.2).
+  ++stats_.remote_misses;
+  return std::nullopt;
+}
 
+void FetchRouter::read_pfs(data::SampleId sample, double size_mb,
+                           std::span<std::uint8_t> out) {
   // Case 0: the PFS always has the data at rest.
-  Bytes bytes = source_.read(rank_, sample);
+  source_.read_into(rank_, sample, out);
   ++stats_.pfs_fetches;
   stats_.add_mb(stats_.pfs_mb, size_mb);
+}
+
+Bytes FetchRouter::fetch_owned(data::SampleId sample, double size_mb) {
+  const std::size_t size = util::mb_to_bytes(size_mb);
+  if (auto remote = fetch_remote(sample, size_mb, size); remote.has_value()) {
+    return std::move(*remote);
+  }
+  Bytes bytes(size);
+  read_pfs(sample, size_mb, bytes);
   return bytes;
 }
 
-Bytes FetchRouter::fetch(data::SampleId sample, double size_mb) {
+void FetchRouter::fetch_into(data::SampleId sample, double size_mb,
+                             std::span<std::uint8_t> out) {
+  if (out.size() != util::mb_to_bytes(size_mb)) {
+    throw std::invalid_argument("fetch_into: buffer is not the sample's size");
+  }
   const bool may_cache = options_.cache_on_miss && self_plan_.find(sample).has_value();
   for (;;) {
     // Local cache first — the fastest source when present.
     if (auto bytes = load_local(sample); bytes.has_value()) {
+      if (bytes->size() != out.size()) {
+        throw std::runtime_error("fetch_into: local copy has the wrong length");
+      }
+      std::copy(bytes->begin(), bytes->end(), out.begin());
       ++stats_.local_fetches;
       stats_.add_mb(stats_.local_mb, size_mb);
-      return std::move(*bytes);
+      return;
     }
     if (!may_cache) break;
     if (try_claim(sample)) {
-      // This thread materializes the sample for everyone.
-      Bytes bytes = fetch_from_source(sample, size_mb);
+      // This thread materializes the sample for everyone: into a buffer the
+      // cache keeps, then one copy into `out`.
+      const Bytes bytes = fetch_owned(sample, size_mb);
       finish_claim(sample, bytes);
-      return bytes;
+      std::copy(bytes.begin(), bytes.end(), out.begin());
+      return;
     }
     // Someone else (class prefetcher or a sibling staging thread) is
     // fetching it right now; wait and serve it from the local cache —
     // planned samples hit the PFS at most once per worker.
     wait_if_inflight(sample);
   }
-  return fetch_from_source(sample, size_mb);
+  // Not cacheable here: a remote payload is copied once, a PFS read is
+  // materialized straight into `out`.
+  if (auto remote = fetch_remote(sample, size_mb, out.size()); remote.has_value()) {
+    std::copy(remote->begin(), remote->end(), out.begin());
+    return;
+  }
+  read_pfs(sample, size_mb, out);
+}
+
+Bytes FetchRouter::fetch(data::SampleId sample, double size_mb) {
+  Bytes bytes(util::mb_to_bytes(size_mb));
+  fetch_into(sample, size_mb, bytes);
+  return bytes;
 }
 
 bool FetchRouter::prefetch_planned(data::SampleId sample, double size_mb) {
   if (!try_claim(sample)) return false;
-  Bytes bytes = fetch_from_source(sample, size_mb);
-  finish_claim(sample, bytes);
+  finish_claim(sample, fetch_owned(sample, size_mb));
   return true;
 }
 

@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -90,13 +92,22 @@ class FetchRouter {
               SampleSource& source, net::Transport* transport,
               tiers::WorkerDevices* devices, RouterOptions options);
 
-  /// Fetches the bytes of `sample` from the fastest available source
-  /// (staging-prefetcher path).  If this worker plans to cache the sample
-  /// and nobody is already fetching it, the bytes are cached on the way
-  /// through; if another thread is mid-fetch, this call waits for that
-  /// fetch and serves the result locally — planned samples hit the PFS at
-  /// most once per worker.
+  /// Fetches the bytes of `sample` from the fastest available source into
+  /// a new buffer (fetch_into, which the staging prefetcher calls, does the
+  /// work).  If this worker plans to cache the sample and nobody is already
+  /// fetching it, the bytes are cached on the way through; if another
+  /// thread is mid-fetch, this call waits for that fetch and serves the
+  /// result locally — planned samples hit the PFS at most once per worker.
   [[nodiscard]] Bytes fetch(data::SampleId sample, double size_mb);
+
+  /// fetch() into a caller-owned buffer (the staging slot), with the same
+  /// routing and the same stats.  `out` must hold exactly
+  /// util::mb_to_bytes(size_mb) bytes (std::invalid_argument otherwise).
+  /// A PFS read of a sample this worker does not cache is materialized
+  /// straight into `out`; every other source is copied into it once.  A
+  /// remote payload of the wrong length counts as a remote miss and falls
+  /// back to the PFS.
+  void fetch_into(data::SampleId sample, double size_mb, std::span<std::uint8_t> out);
 
   /// Class-prefetcher path: fetches and caches `sample` into its planned
   /// class unless it is already cached or another thread claimed it.
@@ -117,9 +128,19 @@ class FetchRouter {
   [[nodiscard]] std::optional<Bytes> load_local(data::SampleId sample);
 
  private:
-  /// Fetches from the fastest remote/PFS source per the model (no local
-  /// check, no caching).
-  [[nodiscard]] Bytes fetch_from_source(data::SampleId sample, double size_mb);
+  /// The remote half of source selection: when the model picks a peer and
+  /// the peer returns exactly `expected_bytes`, that payload (counted as a
+  /// remote fetch); otherwise nullopt, after counting a miss if a peer was
+  /// asked.  No local check, no caching.
+  [[nodiscard]] std::optional<Bytes> fetch_remote(data::SampleId sample, double size_mb,
+                                                  std::size_t expected_bytes);
+
+  /// Reads `sample` from the PFS into `out` and counts it.
+  void read_pfs(data::SampleId sample, double size_mb, std::span<std::uint8_t> out);
+
+  /// Fetches from the fastest remote/PFS source into a new buffer (the
+  /// claim path, whose bytes the cache keeps).
+  [[nodiscard]] Bytes fetch_owned(data::SampleId sample, double size_mb);
 
   /// Claims the right to materialize `sample` locally.  False if already
   /// cached or claimed by another thread.

@@ -1,8 +1,8 @@
 #include "core/prefetcher.hpp"
 
-#include <chrono>
-
+#include "tiers/clock.hpp"
 #include "util/log.hpp"
+#include "util/units.hpp"
 
 namespace nopfs::core {
 
@@ -102,6 +102,7 @@ void StagingPrefetcher::stop() {
 }
 
 void StagingPrefetcher::thread_main() {
+  tiers::Pacer preprocess(tiers::real_clock());
   while (!stop_.load(std::memory_order_relaxed)) {
     std::uint64_t seq = 0;
     data::SampleId sample = 0;
@@ -130,28 +131,24 @@ void StagingPrefetcher::thread_main() {
       seq = next_.load(std::memory_order_relaxed);
       if (seq >= stream_.size()) return;
       sample = stream_[seq];
-      const auto bytes = static_cast<std::size_t>(dataset_.size_mb(sample) * 1024.0 * 1024.0);
-      slot = buffer_.reserve(seq, sample, bytes);
+      slot = buffer_.reserve(seq, sample, util::mb_to_bytes(dataset_.size_mb(sample)));
       if (!slot.has_value()) return;  // closed (stop() or external close)
       next_.store(seq + 1, std::memory_order_relaxed);
       if (transport_ != nullptr) transport_->publish_watermark(seq + 1);
     }
     const double mb = dataset_.size_mb(sample);
-    Bytes bytes = router_.fetch(sample, mb);
+    router_.fetch_into(sample, mb, slot->data);
     // Preprocess and store into the staging buffer.  The model pipelines
     // them (write = max(s/beta, s/(w0/p0))); the emulation charges the
-    // staging write via its token bucket and the preprocessing as a sleep,
-    // which upper-bounds the max by the sum (documented in DESIGN.md).
+    // staging write via its token bucket and the preprocessing through
+    // this thread's pacer, which upper-bounds the max by the sum
+    // (documented in DESIGN.md).
     if (devices_ != nullptr) {
       devices_->staging->write(mb);
       if (preprocess_mbps_ > 0.0 && time_scale_ > 0.0) {
-        const double virtual_s = mb / preprocess_mbps_;
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(virtual_s / time_scale_));
+        preprocess.charge(mb / preprocess_mbps_ / time_scale_);
       }
     }
-    const std::size_t n = std::min(bytes.size(), slot->data.size());
-    std::copy_n(bytes.begin(), n, slot->data.begin());
     buffer_.commit(seq);
     util::log_trace("staging: committed seq ", seq, " sample ", sample);
   }

@@ -8,8 +8,10 @@
 // downstream remain verifiable without terabytes on disk.
 // DirectoryPfsSource reads real files (integration tests, examples).
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "core/storage_backend.hpp"
 #include "data/dataset.hpp"
@@ -27,6 +29,12 @@ class SampleSource {
   /// when a device is attached).
   [[nodiscard]] virtual Bytes read(int worker, data::SampleId id) = 0;
 
+  /// Reads sample `id` into `out`, which must hold exactly its
+  /// util::mb_to_bytes(size_mb(id)) bytes.  The default copies read()'s
+  /// result and throws std::runtime_error if its length differs; sources
+  /// that can produce the bytes in place override it.
+  virtual void read_into(int worker, data::SampleId id, std::span<std::uint8_t> out);
+
   /// Size of sample `id` in MB.
   [[nodiscard]] virtual double size_mb(data::SampleId id) const = 0;
 };
@@ -38,6 +46,8 @@ class SyntheticPfsSource final : public SampleSource {
   SyntheticPfsSource(const data::Dataset& dataset, tiers::PfsDevice* pfs);
 
   [[nodiscard]] Bytes read(int worker, data::SampleId id) override;
+  /// Charges the PFS, then synthesizes the content straight into `out`.
+  void read_into(int worker, data::SampleId id, std::span<std::uint8_t> out) override;
   [[nodiscard]] double size_mb(data::SampleId id) const override;
 
  private:

@@ -27,10 +27,13 @@ namespace nopfs::data {
   return static_cast<std::uint8_t>(x);
 }
 
-/// Fills `out` with the deterministic content of sample k.
+/// Fills `out` with the deterministic content of sample k: out[b] equals
+/// sample_byte(k, b).  The loop is vectorized, compiled for several x86-64
+/// levels and dispatched on the running CPU; sample_byte() stays the spec.
 void fill_sample_content(SampleId k, std::span<std::uint8_t> out) noexcept;
 
-/// Returns true iff `bytes` matches the deterministic content of sample k.
+/// Returns true iff `bytes` matches the deterministic content of sample k
+/// (compares chunk by chunk against the fill_sample_content kernel).
 [[nodiscard]] bool verify_sample_content(SampleId k, std::span<const std::uint8_t> bytes) noexcept;
 
 /// A dataset written to a directory tree, one file per sample.

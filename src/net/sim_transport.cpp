@@ -92,7 +92,7 @@ std::optional<Bytes> SimTransport::fetch_sample(int peer, std::uint64_t id) {
     if (nic_ != nullptr) {
       nic_->transfer(mb);
     } else {
-      transferred_mb_no_nic_ += mb;
+      transferred_mb_no_nic_.fetch_add(mb, std::memory_order_relaxed);
     }
   }
   return result;
@@ -164,7 +164,7 @@ std::uint64_t SimTransport::watermark_of(int peer) const {
 
 double SimTransport::transferred_mb() const {
   if (nic_ != nullptr) return nic_->total_transferred_mb();
-  return transferred_mb_no_nic_;
+  return transferred_mb_no_nic_.load(std::memory_order_relaxed);
 }
 
 std::vector<std::unique_ptr<SimTransport>> make_sim_transports(

@@ -115,7 +115,7 @@ class SimTransport final : public Transport {
   std::shared_ptr<SimFabric> fabric_;
   int rank_;
   tiers::NicDevice* nic_;
-  double transferred_mb_no_nic_ = 0.0;
+  std::atomic<double> transferred_mb_no_nic_{0.0};
 };
 
 /// Creates connected endpoints for ranks 0..world_size-1.

@@ -152,6 +152,7 @@ void worker_loop(const data::Dataset& dataset, const RuntimeConfig& config,
                  WorkerOutcome& outcome) {
   const double compute_mbps = config.system.node.compute_mbps;
   const double straggler = config.faults.straggler_factor(rank);
+  tiers::Pacer compute(tiers::real_clock());
   outcome.digest = kFnvOffset;
   for (int e = 0; e < config.num_epochs; ++e) {
     for (std::uint64_t h = 0; h < iters; ++h) {
@@ -171,8 +172,7 @@ void worker_loop(const data::Dataset& dataset, const RuntimeConfig& config,
         if (!config.skip_compute && compute_mbps > 0.0) {
           const double virtual_s =
               dataset.size_mb(sample->id()) / compute_mbps * straggler;
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(virtual_s / config.time_scale));
+          compute.charge(virtual_s / config.time_scale);
         }
       }
       // The allreduce: every worker waits for the slowest.

@@ -16,6 +16,20 @@ void RealClock::sleep_for(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
+Clock& real_clock() {
+  static RealClock clock;
+  return clock;
+}
+
+void Pacer::charge(double seconds) {
+  if (!(seconds > 0.0)) return;
+  debt_ += seconds;
+  if (debt_ < kMinSleepS) return;
+  const double start = clock_.now();
+  clock_.sleep_for(debt_);
+  debt_ -= clock_.now() - start;
+}
+
 double ManualClock::now() const {
   const std::scoped_lock lock(mutex_);
   return now_;

@@ -10,6 +10,9 @@
 //
 // Tests use ManualClock to make token-bucket behaviour exactly
 // deterministic.
+//
+// Pacer charges per-sample emulated work that has no device bucket
+// (preprocessing, compute), batching sub-timer-slack sleeps.
 
 #include <chrono>
 #include <condition_variable>
@@ -54,6 +57,34 @@ class ManualClock final : public Clock {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   double now_ = 0.0;
+};
+
+/// The process-wide RealClock (stateless after construction; any thread may
+/// use it).
+[[nodiscard]] Clock& real_clock();
+
+/// Charges emulated time to ONE thread as a debt.  charge() adds to the
+/// debt; once the debt reaches kMinSleepS the pacer sleeps for it and
+/// subtracts the *measured* sleep, so an overshoot leaves a negative debt
+/// that pays for later charges.  Over any sequence the time slept equals
+/// the time charged to within one overshoot or kMinSleepS, whichever is
+/// larger: the sum model of DESIGN.md Sec. 2.1 is kept.  Not thread-safe:
+/// each producer or consumer thread owns its own pacer.
+class Pacer {
+ public:
+  /// Debts below this are carried, not slept: 50 us is Linux's default
+  /// timer slack, the least a sleep costs anyway.
+  static constexpr double kMinSleepS = 50e-6;
+
+  /// `clock` must outlive the pacer.
+  explicit Pacer(Clock& clock) noexcept : clock_(clock) {}
+
+  /// Adds `seconds` of real time to the debt; sleeps it off when due.
+  void charge(double seconds);
+
+ private:
+  Clock& clock_;
+  double debt_ = 0.0;
 };
 
 }  // namespace nopfs::tiers

@@ -37,6 +37,51 @@ TEST(ManualClock, AdvanceWakesSleepers) {
   EXPECT_DOUBLE_EQ(clock.now(), 5.5);
 }
 
+/// Counts sleeps; every sleep lasts its request plus a fixed overshoot,
+/// like a kernel timer with slack.
+class OvershootClock final : public Clock {
+ public:
+  static constexpr double kOvershoot = 50e-6;
+
+  [[nodiscard]] double now() const override { return now_; }
+  void sleep_for(double seconds) override {
+    ++sleeps;
+    slept += seconds + kOvershoot;
+    now_ += seconds + kOvershoot;
+  }
+
+  int sleeps = 0;
+  double slept = 0.0;
+
+ private:
+  double now_ = 0.0;
+};
+
+TEST(Pacer, TinyChargesShareOneSleep) {
+  OvershootClock clock;
+  Pacer pacer(clock);
+  for (int i = 0; i < 100000; ++i) pacer.charge(1e-9);
+  EXPECT_EQ(clock.sleeps, 1);
+}
+
+TEST(Pacer, SleptTimeTracksChargedTime) {
+  OvershootClock clock;
+  Pacer pacer(clock);
+  // A deterministic mix from 1 ns to 2 ms, plus ignored non-positive charges.
+  constexpr double kCharges[] = {1e-9, 4e-7, 2e-5, 0.0, 7e-5, 3e-4, -1e-3, 2e-3, 5e-6};
+  double charged = 0.0;
+  int calls = 0;
+  for (int round = 0; round < 2000; ++round) {
+    for (const double charge : kCharges) {
+      pacer.charge(charge);
+      if (charge > 0.0) charged += charge;
+      ++calls;
+    }
+  }
+  EXPECT_NEAR(clock.slept, charged, OvershootClock::kOvershoot);
+  EXPECT_LT(clock.sleeps, calls / 2);
+}
+
 TEST(TokenBucket, TryAcquireRespectsBalance) {
   ManualClock clock;
   TokenBucket bucket(clock, /*rate=*/100.0, /*burst=*/10.0);

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <stdexcept>
+
 #include "core/fetch_router.hpp"
 #include "data/materialize.hpp"
 #include "net/sim_transport.hpp"
@@ -207,6 +210,152 @@ TEST(FetchRouter, LoadLocalServesOnlyCached) {
   const auto bytes = router->load_local(3);
   ASSERT_TRUE(bytes.has_value());
   EXPECT_TRUE(data::verify_sample_content(3, *bytes));
+}
+
+/// Plain copy of FetchStats counters, for comparing deltas.
+struct StatsSnapshot {
+  std::uint64_t local = 0;
+  std::uint64_t remote = 0;
+  std::uint64_t pfs = 0;
+  std::uint64_t remote_misses = 0;
+  double local_mb = 0.0;
+  double remote_mb = 0.0;
+  double pfs_mb = 0.0;
+
+  bool operator==(const StatsSnapshot&) const = default;
+};
+
+/// The counters of `stats` minus `since`.
+StatsSnapshot delta(const FetchStats& stats, const StatsSnapshot& since = {}) {
+  StatsSnapshot d;
+  d.local = stats.local_fetches.load() - since.local;
+  d.remote = stats.remote_fetches.load() - since.remote;
+  d.pfs = stats.pfs_fetches.load() - since.pfs;
+  d.remote_misses = stats.remote_misses.load() - since.remote_misses;
+  d.local_mb = stats.local_mb.load() - since.local_mb;
+  d.remote_mb = stats.remote_mb.load() - since.remote_mb;
+  d.pfs_mb = stats.pfs_mb.load() - since.pfs_mb;
+  return d;
+}
+
+enum class FetchPath { kLocalHit, kPfs, kRemoteHit, kShortRemote, kLongRemote, kClaim };
+
+struct PathRun {
+  Bytes bytes;
+  StatsSnapshot delta;
+  bool cached = false;
+};
+
+/// Fetches sample 7 down `path` with fetch() or fetch_into() on a fresh
+/// router and reports the bytes, the stats delta of that one call, and
+/// whether the sample ended up in the local cache.
+PathRun run_path(FetchPath path, bool into) {
+  constexpr data::SampleId kId = 7;
+  RouterFixture fix;
+  const double mb = fix.dataset.size_mb(kId);
+  const std::size_t size = util::mb_to_bytes(mb);
+  std::size_t served = size;
+  if (path == FetchPath::kShortRemote) served = size - 1;
+  if (path == FetchPath::kLongRemote) served = size + 1;
+  Bytes payload(served);
+  data::fill_sample_content(kId, payload);
+  auto transports = net::make_sim_transports(2);
+  transports[1]->set_serve_handler(
+      [payload](std::uint64_t id) -> std::optional<net::Bytes> {
+        if (id == kId) return payload;
+        return std::nullopt;
+      });
+  const bool self_plans = path == FetchPath::kLocalHit || path == FetchPath::kClaim;
+  const bool peer_plans = path == FetchPath::kRemoteHit ||
+                          path == FetchPath::kShortRemote ||
+                          path == FetchPath::kLongRemote;
+  const CachePlan listed = RouterFixture::plan_with({kId});
+  const CachePlan none = RouterFixture::plan_with({});
+  auto router = fix.make_router({self_plans ? listed : none, peer_plans ? listed : none},
+                                RouterOptions{}, transports[0].get());
+  router->note_class_progress(0);  // the peer counts as ready
+  if (path == FetchPath::kLocalHit) (void)router->fetch(kId, mb);  // warm the cache
+
+  const StatsSnapshot before = delta(router->stats());
+  PathRun run;
+  if (into) {
+    run.bytes.assign(size, 0xee);
+    router->fetch_into(kId, mb, run.bytes);
+  } else {
+    run.bytes = router->fetch(kId, mb);
+  }
+  run.delta = delta(router->stats(), before);
+  run.cached = fix.metadata->contains(kId);
+  return run;
+}
+
+TEST(FetchRouter, FetchIntoMatchesFetchOnEveryPath) {
+  for (int p = 0; p <= static_cast<int>(FetchPath::kClaim); ++p) {
+    const auto path = static_cast<FetchPath>(p);
+    SCOPED_TRACE(p);
+    const PathRun fetched = run_path(path, /*into=*/false);
+    const PathRun filled = run_path(path, /*into=*/true);
+    EXPECT_EQ(fetched.bytes, filled.bytes);
+    EXPECT_TRUE(fetched.delta == filled.delta);
+    EXPECT_EQ(fetched.cached, filled.cached);
+    EXPECT_TRUE(data::verify_sample_content(7, filled.bytes));
+
+    const StatsSnapshot& d = filled.delta;
+    EXPECT_EQ(d.local + d.remote + d.pfs, 1u);
+    switch (path) {
+      case FetchPath::kLocalHit:
+        EXPECT_EQ(d.local, 1u);
+        break;
+      case FetchPath::kPfs:
+        EXPECT_EQ(d.pfs, 1u);
+        EXPECT_FALSE(filled.cached);
+        break;
+      case FetchPath::kRemoteHit:
+        EXPECT_EQ(d.remote, 1u);
+        EXPECT_EQ(d.remote_misses, 0u);
+        break;
+      case FetchPath::kShortRemote:
+      case FetchPath::kLongRemote:
+        // A payload of the wrong length is a miss, never a partial copy.
+        EXPECT_EQ(d.remote_misses, 1u);
+        EXPECT_EQ(d.pfs, 1u);
+        break;
+      case FetchPath::kClaim:
+        EXPECT_EQ(d.pfs, 1u);
+        EXPECT_TRUE(filled.cached);
+        break;
+    }
+  }
+}
+
+TEST(FetchRouter, FetchIntoRejectsMisSizedBuffer) {
+  RouterFixture fix;
+  const CachePlan none = RouterFixture::plan_with({});
+  auto router = fix.make_router({none, none}, RouterOptions{}, nullptr);
+  const double mb = fix.dataset.size_mb(5);
+  Bytes small(util::mb_to_bytes(mb) - 1);
+  EXPECT_THROW(router->fetch_into(5, mb, small), std::invalid_argument);
+  EXPECT_EQ(router->stats().pfs_fetches.load(), 0u);
+}
+
+TEST(SampleSource, ReadIntoMatchesRead) {
+  RouterFixture fix;
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() / "nopfs_test_read_into";
+  const data::MaterializedDataset files(fix.dataset, root);
+  DirectoryPfsSource directory(fix.dataset, files, nullptr);
+  SampleSource* const sources[] = {&fix.source, &directory};
+  for (SampleSource* source : sources) {
+    for (data::SampleId k = 0; k < fix.dataset.num_samples(); k += 9) {
+      const Bytes read = source->read(0, k);
+      Bytes into(util::mb_to_bytes(source->size_mb(k)), 0xee);
+      source->read_into(0, k, into);
+      EXPECT_EQ(read, into) << "sample " << k;
+    }
+  }
+  // The default read_into never copies a payload of the wrong length.
+  Bytes wrong(util::mb_to_bytes(fix.dataset.size_mb(3)) + 1);
+  EXPECT_THROW(directory.read_into(0, 3, wrong), std::runtime_error);
 }
 
 TEST(FetchRouter, ProgressCounters) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <iterator>
+#include <span>
+#include <vector>
 
 #include "data/dataset.hpp"
 #include "data/materialize.hpp"
@@ -40,6 +45,77 @@ TEST(SampleContent, VerifyDetectsSingleBitFlip) {
   fill_sample_content(3, bytes);
   bytes[100] ^= 1;
   EXPECT_FALSE(verify_sample_content(3, bytes));
+}
+
+// Ids that exercise every bit of the id term: 0, 1, 2^32 - 1, 2^63, ~0.
+constexpr SampleId kKernelIds[] = {0, 1, 0xffffffffULL, 1ULL << 63, ~0ULL};
+
+/// Checks `got` byte for byte against the constexpr spec, sample_byte().
+void expect_spec_content(SampleId k, std::span<const std::uint8_t> got) {
+  for (std::uint64_t b = 0; b < got.size(); ++b) {
+    if (got[b] != sample_byte(k, b)) {
+      ADD_FAILURE() << "sample " << k << " byte " << b << " of " << got.size();
+      return;
+    }
+  }
+}
+
+TEST(SampleContent, KernelMatchesSpecForEveryShortLength) {
+  for (const SampleId k : kKernelIds) {
+    for (std::size_t n = 0; n <= 300; ++n) {
+      // Guard bytes on both sides catch a write past either end.
+      std::vector<std::uint8_t> buffer(n + 2, 0xa5);
+      fill_sample_content(k, std::span(buffer).subspan(1, n));
+      EXPECT_EQ(buffer.front(), 0xa5);
+      EXPECT_EQ(buffer.back(), 0xa5);
+      expect_spec_content(k, std::span(buffer).subspan(1, n));
+    }
+  }
+}
+
+TEST(SampleContent, KernelMatchesSpecOverOneMiB) {
+  std::vector<std::uint8_t> buffer(std::size_t{1} << 20);
+  for (const SampleId k : kKernelIds) {
+    fill_sample_content(k, buffer);
+    expect_spec_content(k, buffer);
+  }
+}
+
+TEST(SampleContent, KernelMatchesSpecAtUnalignedOffsets) {
+  constexpr std::size_t kLength = 1000;
+  std::vector<std::uint8_t> buffer(64 + kLength + 64);
+  for (const SampleId k : kKernelIds) {
+    for (std::size_t offset = 1; offset <= 63; ++offset) {
+      std::fill(buffer.begin(), buffer.end(), std::uint8_t{0x5a});
+      const std::size_t n = kLength - offset;  // vary the tail as well
+      fill_sample_content(k, std::span(buffer).subspan(offset, n));
+      EXPECT_EQ(buffer[offset - 1], 0x5a);
+      EXPECT_EQ(buffer[offset + n], 0x5a);
+      expect_spec_content(k, std::span(buffer).subspan(offset, n));
+    }
+  }
+}
+
+TEST(SampleContent, VerifyMatchesSpecAcrossChunkEdges) {
+  // verify_sample_content compares 4 KiB at a time; flips on either side
+  // of each chunk edge and at both ends must all be caught.
+  constexpr std::size_t kLengths[] = {1, 4095, 4096, 4097, 3 * 4096 + 5};
+  constexpr std::size_t kFlips[] = {0, 4095, 4096, 8191, 8192};
+  for (const std::size_t n : kLengths) {
+    std::vector<std::uint8_t> bytes(n);
+    fill_sample_content(11, bytes);
+    EXPECT_TRUE(verify_sample_content(11, bytes)) << n;
+    EXPECT_FALSE(verify_sample_content(12, bytes)) << n;
+    std::vector<std::size_t> flips(std::begin(kFlips), std::end(kFlips));
+    flips.push_back(n - 1);
+    for (const std::size_t at : flips) {
+      if (at >= n) continue;
+      bytes[at] ^= 0x80;
+      EXPECT_FALSE(verify_sample_content(11, bytes)) << n << " flip at " << at;
+      bytes[at] ^= 0x80;
+    }
+  }
+  EXPECT_TRUE(verify_sample_content(11, std::span<const std::uint8_t>{}));
 }
 
 TEST(Materialize, WritesAllFilesWithCorrectSizes) {
