@@ -98,6 +98,10 @@ void FetchRouter::finish_claim(data::SampleId sample, const Bytes& bytes) {
       metadata_.insert(sample, *planned, mb);
     }
   }
+  release_claim(sample);
+}
+
+void FetchRouter::release_claim(data::SampleId sample) {
   {
     const std::scoped_lock lock(inflight_mutex_);
     inflight_.erase(sample);
@@ -159,14 +163,20 @@ void FetchRouter::read_pfs(data::SampleId sample, double size_mb,
   stats_.add_mb(stats_.pfs_mb, size_mb);
 }
 
-Bytes FetchRouter::fetch_owned(data::SampleId sample, double size_mb) {
-  const std::size_t size = util::mb_to_bytes(size_mb);
-  if (auto remote = fetch_remote(sample, size_mb, size); remote.has_value()) {
-    return std::move(*remote);
+Bytes FetchRouter::fetch_claimed(data::SampleId sample, double size_mb) {
+  try {
+    const std::size_t size = util::mb_to_bytes(size_mb);
+    if (auto remote = fetch_remote(sample, size_mb, size); remote.has_value()) {
+      return std::move(*remote);
+    }
+    Bytes bytes(size);
+    read_pfs(sample, size_mb, bytes);
+    return bytes;
+  } catch (...) {
+    // Waiters in wait_if_inflight() must not block on a fetch that died.
+    release_claim(sample);
+    throw;
   }
-  Bytes bytes(size);
-  read_pfs(sample, size_mb, bytes);
-  return bytes;
 }
 
 void FetchRouter::fetch_into(data::SampleId sample, double size_mb,
@@ -190,7 +200,7 @@ void FetchRouter::fetch_into(data::SampleId sample, double size_mb,
     if (try_claim(sample)) {
       // This thread materializes the sample for everyone: into a buffer the
       // cache keeps, then one copy into `out`.
-      const Bytes bytes = fetch_owned(sample, size_mb);
+      const Bytes bytes = fetch_claimed(sample, size_mb);
       finish_claim(sample, bytes);
       std::copy(bytes.begin(), bytes.end(), out.begin());
       return;
@@ -209,15 +219,9 @@ void FetchRouter::fetch_into(data::SampleId sample, double size_mb,
   read_pfs(sample, size_mb, out);
 }
 
-Bytes FetchRouter::fetch(data::SampleId sample, double size_mb) {
-  Bytes bytes(util::mb_to_bytes(size_mb));
-  fetch_into(sample, size_mb, bytes);
-  return bytes;
-}
-
 bool FetchRouter::prefetch_planned(data::SampleId sample, double size_mb) {
   if (!try_claim(sample)) return false;
-  finish_claim(sample, fetch_owned(sample, size_mb));
+  finish_claim(sample, fetch_claimed(sample, size_mb));
   return true;
 }
 

@@ -93,20 +93,17 @@ class FetchRouter {
               tiers::WorkerDevices* devices, RouterOptions options);
 
   /// Fetches the bytes of `sample` from the fastest available source into
-  /// a new buffer (fetch_into, which the staging prefetcher calls, does the
-  /// work).  If this worker plans to cache the sample and nobody is already
+  /// a caller-owned buffer (the staging slot).  `out` must hold exactly
+  /// util::mb_to_bytes(size_mb) bytes (std::invalid_argument otherwise).
+  /// If this worker plans to cache the sample and nobody is already
   /// fetching it, the bytes are cached on the way through; if another
   /// thread is mid-fetch, this call waits for that fetch and serves the
   /// result locally — planned samples hit the PFS at most once per worker.
-  [[nodiscard]] Bytes fetch(data::SampleId sample, double size_mb);
-
-  /// fetch() into a caller-owned buffer (the staging slot), with the same
-  /// routing and the same stats.  `out` must hold exactly
-  /// util::mb_to_bytes(size_mb) bytes (std::invalid_argument otherwise).
   /// A PFS read of a sample this worker does not cache is materialized
   /// straight into `out`; every other source is copied into it once.  A
   /// remote payload of the wrong length counts as a remote miss and falls
-  /// back to the PFS.
+  /// back to the PFS.  Errors of the source (e.g. a data file of the wrong
+  /// length) propagate; a claim the failed fetch held is released first.
   void fetch_into(data::SampleId sample, double size_mb, std::span<std::uint8_t> out);
 
   /// Class-prefetcher path: fetches and caches `sample` into its planned
@@ -138,17 +135,20 @@ class FetchRouter {
   /// Reads `sample` from the PFS into `out` and counts it.
   void read_pfs(data::SampleId sample, double size_mb, std::span<std::uint8_t> out);
 
-  /// Fetches from the fastest remote/PFS source into a new buffer (the
-  /// claim path, whose bytes the cache keeps).
-  [[nodiscard]] Bytes fetch_owned(data::SampleId sample, double size_mb);
+  /// Fetches a claimed sample from the fastest remote/PFS source into a
+  /// new buffer, which the cache keeps.  Releases the claim if it throws.
+  [[nodiscard]] Bytes fetch_claimed(data::SampleId sample, double size_mb);
 
   /// Claims the right to materialize `sample` locally.  False if already
   /// cached or claimed by another thread.
   [[nodiscard]] bool try_claim(data::SampleId sample);
 
   /// Stores claimed bytes into `sample`'s planned class, updates metadata,
-  /// releases the claim and wakes waiters.
+  /// then releases the claim.
   void finish_claim(data::SampleId sample, const Bytes& bytes);
+
+  /// Drops the claim on `sample` and wakes waiters.
+  void release_claim(data::SampleId sample);
 
   /// Blocks while another thread holds the claim for `sample`.
   void wait_if_inflight(data::SampleId sample);

@@ -121,7 +121,10 @@ std::optional<SampleHandle> Job::next() {
   if (!started_ || stopped_) return std::nullopt;
   if (consume_position_ >= stream_.size()) return std::nullopt;
   auto consumed = staging_->consume(consume_position_);
-  if (!consumed.has_value()) return std::nullopt;  // closed
+  if (!consumed.has_value()) {
+    staging_prefetcher_->rethrow_error();  // a producer failed and closed it
+    return std::nullopt;                   // closed
+  }
   ++consume_position_;
   return SampleHandle(staging_.get(), *consumed);
 }

@@ -111,6 +111,8 @@ class Job {
 
   /// Blocks until the next sample in this worker's access stream is staged;
   /// returns nullopt when the stream is exhausted (or the job stopped).
+  /// Rethrows the error of a staging thread that could not fetch a sample
+  /// (e.g. a data file of the wrong length).
   [[nodiscard]] std::optional<SampleHandle> next();
 
   /// Stops all prefetching (idempotent; also called by the destructor).

@@ -57,8 +57,14 @@ void ClassPrefetcher::thread_main() {
     // prefetch_planned claims, fetches and stores; it is a no-op when the
     // staging path (load-imbalance smoothing) already cached or claimed
     // the sample — planned samples are materialized exactly once.
-    if (router_.prefetch_planned(sample, dataset_.size_mb(sample))) {
-      fetched_.fetch_add(1, std::memory_order_relaxed);
+    try {
+      if (router_.prefetch_planned(sample, dataset_.size_mb(sample))) {
+        fetched_.fetch_add(1, std::memory_order_relaxed);
+      }
+    } catch (const std::exception& ex) {
+      // The claim is released and the sample stays uncached; the staging
+      // path fetches it on demand and reports the error if it persists.
+      util::log_warn("class ", cls_, " prefetch of sample ", sample, " failed: ", ex.what());
     }
     router_.note_class_progress(cls_);
     completed_.fetch_add(1, std::memory_order_release);
@@ -101,7 +107,25 @@ void StagingPrefetcher::stop() {
   threads_.clear();
 }
 
+void StagingPrefetcher::rethrow_error() const {
+  const std::scoped_lock lock(error_mutex_);
+  if (error_) std::rethrow_exception(error_);
+}
+
 void StagingPrefetcher::thread_main() {
+  try {
+    produce();
+  } catch (...) {
+    {
+      const std::scoped_lock lock(error_mutex_);
+      if (!error_) error_ = std::current_exception();
+    }
+    // Wakes the consumer (and parked producers); the consumer rethrows.
+    buffer_.close();
+  }
+}
+
+void StagingPrefetcher::produce() {
   tiers::Pacer preprocess(tiers::real_clock());
   while (!stop_.load(std::memory_order_relaxed)) {
     std::uint64_t seq = 0;

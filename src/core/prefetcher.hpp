@@ -9,10 +9,14 @@
 // reserving staging-buffer slots in stream order from a shared dispenser,
 // fetching each sample from the fastest source, charging the preprocessing
 // and staging-write costs, and committing slots as they complete (possibly
-// out of order; the consumer reorders).
+// out of order; the consumer reorders).  A producer that fails (e.g. a
+// data file of the wrong length) closes the buffer; the consumer then gets
+// the error from rethrow_error() instead of the process aborting.
 
 #include <atomic>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -88,8 +92,14 @@ class StagingPrefetcher {
     return next_.load(std::memory_order_relaxed);
   }
 
+  /// Rethrows the first exception a producer thread hit; that thread
+  /// closed the buffer, so a consumer calls this when consume() fails.
+  /// No-op when every producer is healthy.
+  void rethrow_error() const;
+
  private:
   void thread_main();
+  void produce();
 
   const std::vector<data::SampleId>& stream_;
   const data::Dataset& dataset_;
@@ -104,6 +114,8 @@ class StagingPrefetcher {
   std::atomic<std::uint64_t> next_{0};
   std::atomic<bool> stop_{false};
   std::vector<std::thread> threads_;
+  mutable std::mutex error_mutex_;
+  std::exception_ptr error_;
 };
 
 }  // namespace nopfs::core

@@ -39,17 +39,13 @@ void fill_default(SampleId k, std::uint64_t first, std::uint8_t* out,
 }
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-// The same loop compiled for two more x86-64 levels, picked once at run
-// time.  The x86-64-v4 set (AVX-512 F/BW/DQ/VL) has the 64-bit lane
-// multiply (vpmullq) and the quadword-to-byte narrowing (vpmovqb) the loop
-// needs; AVX2 emulates both.
+// The same loop compiled for x86-64-v4 (AVX-512 F/BW/DQ/VL), picked once at
+// run time: that set has the 64-bit lane multiply (vpmullq) and the
+// quadword-to-byte narrowing (vpmovqb) the loop needs.  An AVX2 build of
+// the loop, which must emulate both, did not beat the baseline one by more
+// than the run-to-run spread (DESIGN.md Sec. 6.4), so there is none.
 [[gnu::target("avx512f,avx512bw,avx512dq,avx512vl")]] void fill_avx512(
     SampleId k, std::uint64_t first, std::uint8_t* out, std::size_t n) noexcept {
-  fill_loop(k, first, out, n);
-}
-
-[[gnu::target("avx2")]] void fill_avx2(SampleId k, std::uint64_t first, std::uint8_t* out,
-                                       std::size_t n) noexcept {
   fill_loop(k, first, out, n);
 }
 
@@ -59,7 +55,6 @@ FillFn resolve_fill() noexcept {
       __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl")) {
     return fill_avx512;
   }
-  if (__builtin_cpu_supports("avx2")) return fill_avx2;
   return fill_default;
 }
 #else

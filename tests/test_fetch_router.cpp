@@ -34,10 +34,12 @@ struct RouterFixture {
     system.node.classes = {ram};
   }
 
-  /// Builds router for rank 0; `plans` must have 2 entries.
+  /// Builds router for rank 0; `plans` must have 2 entries.  It reads the
+  /// synthetic `source` unless `pfs` names another one.
   std::unique_ptr<FetchRouter> make_router(std::vector<CachePlan> plans,
                                            RouterOptions options,
-                                           net::Transport* transport) {
+                                           net::Transport* transport,
+                                           SampleSource* pfs = nullptr) {
     model = std::make_unique<PerfModel>(system);
     self_plan = plans[0];
     locations = LocationIndex(plans, 0);
@@ -46,7 +48,8 @@ struct RouterFixture {
     backends.clear();
     backends.push_back(std::make_unique<MemoryBackend>(100.0));
     return std::make_unique<FetchRouter>(0, *model, self_plan, locations, readiness,
-                                         *metadata, backends, source, transport,
+                                         *metadata, backends,
+                                         pfs != nullptr ? *pfs : source, transport,
                                          nullptr, options);
   }
 
@@ -71,6 +74,14 @@ struct RouterFixture {
   std::vector<std::unique_ptr<StorageBackend>> backends;
 };
 
+/// fetch_into a fresh buffer of the sample's size (prefilled with 0xee, so
+/// bytes the fetch leaves unwritten show up in content checks).
+Bytes fetch_bytes(FetchRouter& router, data::SampleId sample, double size_mb) {
+  Bytes bytes(util::mb_to_bytes(size_mb), 0xee);
+  router.fetch_into(sample, size_mb, bytes);
+  return bytes;
+}
+
 TEST(RemoteReadiness, PositionAndHeuristic) {
   CachePlan peer;
   peer.per_class.resize(1);
@@ -90,7 +101,7 @@ TEST(FetchRouter, PfsFallbackWhenNothingCached) {
   RouterFixture fix;
   auto router = fix.make_router({RouterFixture::plan_with({}), RouterFixture::plan_with({})},
                                 RouterOptions{}, nullptr);
-  const Bytes bytes = router->fetch(5, fix.dataset.size_mb(5));
+  const Bytes bytes = fetch_bytes(*router, 5, fix.dataset.size_mb(5));
   EXPECT_TRUE(data::verify_sample_content(5, bytes));
   EXPECT_EQ(router->stats().pfs_fetches.load(), 1u);
 }
@@ -101,11 +112,11 @@ TEST(FetchRouter, LocalHitAfterCached) {
       {RouterFixture::plan_with({5}), RouterFixture::plan_with({})}, RouterOptions{},
       nullptr);
   // First fetch: PFS + cache-on-miss into the planned class.
-  (void)router->fetch(5, fix.dataset.size_mb(5));
+  (void)fetch_bytes(*router, 5, fix.dataset.size_mb(5));
   EXPECT_EQ(router->stats().pfs_fetches.load(), 1u);
   EXPECT_TRUE(fix.metadata->contains(5));
   // Second fetch: local.
-  const Bytes bytes = router->fetch(5, fix.dataset.size_mb(5));
+  const Bytes bytes = fetch_bytes(*router, 5, fix.dataset.size_mb(5));
   EXPECT_TRUE(data::verify_sample_content(5, bytes));
   EXPECT_EQ(router->stats().local_fetches.load(), 1u);
 }
@@ -116,7 +127,7 @@ TEST(FetchRouter, CacheOnMissDisabled) {
   options.cache_on_miss = false;
   auto router = fix.make_router(
       {RouterFixture::plan_with({5}), RouterFixture::plan_with({})}, options, nullptr);
-  (void)router->fetch(5, fix.dataset.size_mb(5));
+  (void)fetch_bytes(*router, 5, fix.dataset.size_mb(5));
   EXPECT_FALSE(fix.metadata->contains(5));
 }
 
@@ -125,7 +136,7 @@ TEST(FetchRouter, UnplannedSampleNotCached) {
   auto router = fix.make_router(
       {RouterFixture::plan_with({1}), RouterFixture::plan_with({})}, RouterOptions{},
       nullptr);
-  (void)router->fetch(9, fix.dataset.size_mb(9));
+  (void)fetch_bytes(*router, 9, fix.dataset.size_mb(9));
   EXPECT_FALSE(fix.metadata->contains(9));
 }
 
@@ -147,7 +158,7 @@ TEST(FetchRouter, RemoteFetchThroughTransport) {
   // Watermark heuristic: peer plan has sample 7 at position 0; our class-0
   // progress must exceed 0 for the remote to count as ready.
   router->note_class_progress(0);
-  const Bytes bytes = router->fetch(7, fix.dataset.size_mb(7));
+  const Bytes bytes = fetch_bytes(*router, 7, fix.dataset.size_mb(7));
   EXPECT_TRUE(data::verify_sample_content(7, bytes));
   EXPECT_EQ(router->stats().remote_fetches.load(), 1u);
   EXPECT_EQ(router->stats().pfs_fetches.load(), 0u);
@@ -162,7 +173,7 @@ TEST(FetchRouter, WatermarkGatesRemote) {
       {RouterFixture::plan_with({}), RouterFixture::plan_with({7})}, RouterOptions{},
       transports[0].get());
   // No local progress yet -> heuristic says peer has not prefetched -> PFS.
-  (void)router->fetch(7, fix.dataset.size_mb(7));
+  (void)fetch_bytes(*router, 7, fix.dataset.size_mb(7));
   EXPECT_EQ(router->stats().pfs_fetches.load(), 1u);
   EXPECT_EQ(router->stats().remote_fetches.load(), 0u);
 }
@@ -178,7 +189,7 @@ TEST(FetchRouter, RemoteMissFallsBackToPfs) {
       {RouterFixture::plan_with({}), RouterFixture::plan_with({7})}, RouterOptions{},
       transports[0].get());
   router->note_class_progress(0);
-  const Bytes bytes = router->fetch(7, fix.dataset.size_mb(7));
+  const Bytes bytes = fetch_bytes(*router, 7, fix.dataset.size_mb(7));
   EXPECT_TRUE(data::verify_sample_content(7, bytes));
   EXPECT_EQ(router->stats().remote_misses.load(), 1u);
   EXPECT_EQ(router->stats().pfs_fetches.load(), 1u);
@@ -195,7 +206,7 @@ TEST(FetchRouter, RemoteDisabledByOption) {
       {RouterFixture::plan_with({}), RouterFixture::plan_with({7})}, options,
       transports[0].get());
   router->note_class_progress(0);
-  (void)router->fetch(7, fix.dataset.size_mb(7));
+  (void)fetch_bytes(*router, 7, fix.dataset.size_mb(7));
   EXPECT_EQ(router->stats().remote_fetches.load(), 0u);
   EXPECT_EQ(router->stats().pfs_fetches.load(), 1u);
 }
@@ -206,7 +217,7 @@ TEST(FetchRouter, LoadLocalServesOnlyCached) {
       {RouterFixture::plan_with({3}), RouterFixture::plan_with({})}, RouterOptions{},
       nullptr);
   EXPECT_FALSE(router->load_local(3).has_value());
-  (void)router->fetch(3, fix.dataset.size_mb(3));  // caches it
+  (void)fetch_bytes(*router, 3, fix.dataset.size_mb(3));  // caches it
   const auto bytes = router->load_local(3);
   ASSERT_TRUE(bytes.has_value());
   EXPECT_TRUE(data::verify_sample_content(3, *bytes));
@@ -221,8 +232,6 @@ struct StatsSnapshot {
   double local_mb = 0.0;
   double remote_mb = 0.0;
   double pfs_mb = 0.0;
-
-  bool operator==(const StatsSnapshot&) const = default;
 };
 
 /// The counters of `stats` minus `since`.
@@ -241,15 +250,16 @@ StatsSnapshot delta(const FetchStats& stats, const StatsSnapshot& since = {}) {
 enum class FetchPath { kLocalHit, kPfs, kRemoteHit, kShortRemote, kLongRemote, kClaim };
 
 struct PathRun {
+  double mb = 0.0;
   Bytes bytes;
   StatsSnapshot delta;
   bool cached = false;
 };
 
-/// Fetches sample 7 down `path` with fetch() or fetch_into() on a fresh
-/// router and reports the bytes, the stats delta of that one call, and
-/// whether the sample ended up in the local cache.
-PathRun run_path(FetchPath path, bool into) {
+/// Fetches sample 7 down `path` on a fresh router and reports the bytes,
+/// the stats delta of that one call, and whether the sample ended up in
+/// the local cache.
+PathRun run_path(FetchPath path) {
   constexpr data::SampleId kId = 7;
   RouterFixture fix;
   const double mb = fix.dataset.size_mb(kId);
@@ -274,45 +284,40 @@ PathRun run_path(FetchPath path, bool into) {
   auto router = fix.make_router({self_plans ? listed : none, peer_plans ? listed : none},
                                 RouterOptions{}, transports[0].get());
   router->note_class_progress(0);  // the peer counts as ready
-  if (path == FetchPath::kLocalHit) (void)router->fetch(kId, mb);  // warm the cache
+  if (path == FetchPath::kLocalHit) (void)fetch_bytes(*router, kId, mb);  // warm the cache
 
   const StatsSnapshot before = delta(router->stats());
   PathRun run;
-  if (into) {
-    run.bytes.assign(size, 0xee);
-    router->fetch_into(kId, mb, run.bytes);
-  } else {
-    run.bytes = router->fetch(kId, mb);
-  }
+  run.mb = mb;
+  run.bytes = fetch_bytes(*router, kId, mb);
   run.delta = delta(router->stats(), before);
   run.cached = fix.metadata->contains(kId);
   return run;
 }
 
-TEST(FetchRouter, FetchIntoMatchesFetchOnEveryPath) {
+TEST(FetchRouter, FetchIntoRoutesAndCountsEveryPath) {
   for (int p = 0; p <= static_cast<int>(FetchPath::kClaim); ++p) {
     const auto path = static_cast<FetchPath>(p);
     SCOPED_TRACE(p);
-    const PathRun fetched = run_path(path, /*into=*/false);
-    const PathRun filled = run_path(path, /*into=*/true);
-    EXPECT_EQ(fetched.bytes, filled.bytes);
-    EXPECT_TRUE(fetched.delta == filled.delta);
-    EXPECT_EQ(fetched.cached, filled.cached);
-    EXPECT_TRUE(data::verify_sample_content(7, filled.bytes));
+    const PathRun run = run_path(path);
+    EXPECT_TRUE(data::verify_sample_content(7, run.bytes));
 
-    const StatsSnapshot& d = filled.delta;
+    const StatsSnapshot& d = run.delta;
     EXPECT_EQ(d.local + d.remote + d.pfs, 1u);
+    EXPECT_DOUBLE_EQ(d.local_mb + d.remote_mb + d.pfs_mb, run.mb);
     switch (path) {
       case FetchPath::kLocalHit:
         EXPECT_EQ(d.local, 1u);
+        EXPECT_TRUE(run.cached);
         break;
       case FetchPath::kPfs:
         EXPECT_EQ(d.pfs, 1u);
-        EXPECT_FALSE(filled.cached);
+        EXPECT_FALSE(run.cached);
         break;
       case FetchPath::kRemoteHit:
         EXPECT_EQ(d.remote, 1u);
         EXPECT_EQ(d.remote_misses, 0u);
+        EXPECT_FALSE(run.cached);
         break;
       case FetchPath::kShortRemote:
       case FetchPath::kLongRemote:
@@ -322,7 +327,7 @@ TEST(FetchRouter, FetchIntoMatchesFetchOnEveryPath) {
         break;
       case FetchPath::kClaim:
         EXPECT_EQ(d.pfs, 1u);
-        EXPECT_TRUE(filled.cached);
+        EXPECT_TRUE(run.cached);
         break;
     }
   }
@@ -356,6 +361,26 @@ TEST(SampleSource, ReadIntoMatchesRead) {
   // The default read_into never copies a payload of the wrong length.
   Bytes wrong(util::mb_to_bytes(fix.dataset.size_mb(3)) + 1);
   EXPECT_THROW(directory.read_into(0, 3, wrong), std::runtime_error);
+}
+
+TEST(FetchRouter, SourceErrorReleasesTheClaim) {
+  RouterFixture fix;
+  const data::MaterializedDataset files(
+      fix.dataset, std::filesystem::temp_directory_path() / "nopfs_test_router_truncated");
+  const double mb = fix.dataset.size_mb(5);
+  std::filesystem::resize_file(files.path_of(5), util::mb_to_bytes(mb) - 1);
+  DirectoryPfsSource directory(fix.dataset, files, nullptr);
+  auto router = fix.make_router({RouterFixture::plan_with({5}), RouterFixture::plan_with({})},
+                                RouterOptions{}, nullptr, &directory);
+  // The claim path reads the short file and throws; the claim is released,
+  // so later fetches fail the same way instead of waiting for it forever.
+  EXPECT_THROW((void)fetch_bytes(*router, 5, mb), std::runtime_error);
+  EXPECT_THROW((void)router->prefetch_planned(5, mb), std::runtime_error);
+  EXPECT_THROW((void)fetch_bytes(*router, 5, mb), std::runtime_error);
+  EXPECT_FALSE(fix.metadata->contains(5));
+  EXPECT_EQ(router->stats().pfs_fetches.load(), 0u);
+  // Other samples are unaffected.
+  EXPECT_TRUE(data::verify_sample_content(6, fetch_bytes(*router, 6, fix.dataset.size_mb(6))));
 }
 
 TEST(FetchRouter, ProgressCounters) {

@@ -235,6 +235,38 @@ TEST(Job, RealFilesOnDiskSource) {
   EXPECT_EQ(delivered, job.total_accesses());
 }
 
+TEST(Job, TruncatedFileIsAConsumerError) {
+  data::DatasetSpec spec;
+  spec.name = "disk";
+  spec.num_samples = 32;
+  spec.mean_size_mb = 0.002;
+  spec.num_classes = 4;
+  const auto dataset = data::Dataset::synthetic(spec, 9);
+  const data::MaterializedDataset files(
+      dataset, std::filesystem::temp_directory_path() / "nopfs_test_job_truncated");
+  DirectoryPfsSource source(dataset, files, nullptr);
+  Job job(dataset, small_system(1), 0, options_with(2, 8), source);
+  const AccessStreamGenerator gen(job.stream_config());
+  const data::SampleId bad = gen.worker_stream(0).at(5);
+  std::filesystem::resize_file(files.path_of(bad),
+                               util::mb_to_bytes(dataset.size_mb(bad)) / 2);
+  job.start();
+  // The staging thread that reads the short file closes the buffer and the
+  // consumer gets its error; nothing at or past the bad sample is delivered.
+  std::uint64_t delivered = 0;
+  EXPECT_THROW(
+      {
+        while (auto sample = job.next()) {
+          EXPECT_NE(sample->id(), bad);
+          EXPECT_TRUE(data::verify_sample_content(sample->id(), sample->data()));
+          ++delivered;
+        }
+      },
+      std::runtime_error);
+  EXPECT_LE(delivered, 5u);
+  job.stop();
+}
+
 TEST(Job, ConstructionErrors) {
   const auto dataset = small_dataset();
   const auto system = small_system(2);
