@@ -75,7 +75,6 @@
 
 #include "baselines/loader.hpp"
 #include "critpath/cp_attribution.hpp"
-#include "net/reactor.hpp"
 #include "critpath/cp_dep_graph.hpp"
 #include "critpath/cp_registry.hpp"
 #include "runtime/harness.hpp"
@@ -131,12 +130,6 @@ struct Args {
   bool thread_weighted_gamma = false;
   bool have_thread_weighted = false;
   std::string json_out;
-  /// Event-loop backend for the multi-process transport ("" = scenario
-  /// shape, which defaults to auto → NOPFS_REACTOR env → kernel probe).
-  std::string reactor;
-  /// --probe-reactor BACKEND: exit 0 iff BACKEND can run here (CI uses
-  /// this to green-skip io_uring matrix legs on kernels that deny rings).
-  std::string probe_reactor;
 };
 
 void usage(const char* argv0) {
@@ -149,7 +142,6 @@ void usage(const char* argv0) {
          "           [--sweep-elastic] [--sweep-max-world M]\n"
          "           [--sweep-abandon-after N]]  (sweep service)\n"
          "          [--rank R --world-size N --rendezvous HOST:PORT]  (multi-process)\n"
-         "          [--reactor auto|epoll|io_uring] [--probe-reactor BACKEND]\n"
          "          [--loader "
       << baselines::loader_flag_names()
       << "]\n"
@@ -262,15 +254,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.have_thread_weighted = true;
     } else if (flag == "--json-out") {
       args.json_out = value(i);
-    } else if (flag == "--reactor") {
-      args.reactor = value(i);
-      net::ReactorBackend parsed = net::ReactorBackend::kAuto;
-      if (!net::parse_reactor_backend(args.reactor, parsed)) {
-        throw std::invalid_argument("--reactor expects auto|epoll|io_uring, got " +
-                                    args.reactor);
-      }
-    } else if (flag == "--probe-reactor") {
-      args.probe_reactor = value(i);
     } else if (flag == "--help" || flag == "-h") {
       usage(argv[0]);
       return false;
@@ -279,18 +262,6 @@ bool parse_args(int argc, char** argv, Args& args) {
     }
   }
   return true;
-}
-
-/// Backend for the multi-process transport: CLI flag > scenario shape >
-/// auto (which defers to NOPFS_REACTOR and the kernel probe inside the
-/// transport).  Both strings were validated earlier, so parse cannot fail.
-net::ReactorBackend resolve_backend(const Args& args, const scenario::Scenario& scn) {
-  const std::string& name = !args.reactor.empty() ? args.reactor : scn.worker.reactor;
-  net::ReactorBackend backend = net::ReactorBackend::kAuto;
-  if (!net::parse_reactor_backend(name, backend)) {
-    throw std::invalid_argument("bad reactor backend: " + name);
-  }
-  return backend;
 }
 
 std::string result_json(const Args& args, const std::string& mode, int world_size,
@@ -313,7 +284,6 @@ std::string result_json(const Args& args, const std::string& mode, int world_siz
       << "  \"delivered_digest\": \"" << std::hex << result.delivered_digest
       << std::dec << "\",\n"
       << "  \"pfs_peak_gamma\": " << result.pfs_peak_gamma << ",\n"
-      << "  \"reactor_backend\": \"" << result.reactor_backend << "\",\n"
       << "  \"stats\": {\n"
       << "    \"local_fetches\": " << result.stats.local_fetches << ",\n"
       << "    \"remote_fetches\": " << result.stats.remote_fetches << ",\n"
@@ -444,7 +414,6 @@ int run_sweep(const scenario::Scenario& scn, const Args& args) {
   endpoint.rendezvous_host = args.rendezvous_host;
   endpoint.rendezvous_port = args.rendezvous_port;
   endpoint.timeout_s = args.timeout_s;
-  endpoint.reactor = resolve_backend(args, scn);
 
   const sim::SweepServiceReport report = runtime::run_sweep_job(points, endpoint, options);
   const bool root = args.rank == 0;
@@ -499,22 +468,6 @@ int main(int argc, char** argv) {
   Args args;
   try {
     if (!parse_args(argc, argv, args)) return 0;
-
-    if (!args.probe_reactor.empty()) {
-      // CI matrix gate: exit 0 iff the named backend can run on this
-      // kernel.  epoll is always available; io_uring depends on the probe.
-      net::ReactorBackend backend = net::ReactorBackend::kAuto;
-      if (!net::parse_reactor_backend(args.probe_reactor, backend)) {
-        std::cerr << "--probe-reactor expects auto|epoll|io_uring, got "
-                  << args.probe_reactor << "\n";
-        return 2;
-      }
-      const bool ok = backend != net::ReactorBackend::kIoUring ||
-                      net::io_uring_available();
-      std::cout << net::to_string(backend) << ": "
-                << (ok ? "available" : "unavailable") << "\n";
-      return ok ? 0 : 1;
-    }
 
     if (args.list_scenarios) {
       if (args.markdown) {
@@ -581,7 +534,6 @@ int main(int argc, char** argv) {
       endpoint.rendezvous_host = args.rendezvous_host;
       endpoint.rendezvous_port = args.rendezvous_port;
       endpoint.timeout_s = args.timeout_s;
-      endpoint.reactor = resolve_backend(args, scn);
       result = runtime::run_distributed(dataset, config, endpoint);
     } else {
       mode = "single-process";

@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <fstream>
+#include <random>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -31,25 +33,6 @@ using Clock = std::chrono::steady_clock;
 [[noreturn]] void throw_errno(const char* what) {
   throw std::runtime_error(std::string("SocketTransport: ") + what + ": " +
                            std::strerror(errno));
-}
-
-/// Resolves SocketOptions::reactor_backend against the NOPFS_REACTOR env
-/// var.  The env var is consulted ONLY when the option is kAuto (code wins
-/// over environment), and a parsed value is treated like an explicit
-/// request: NOPFS_REACTOR=io_uring on a kernel that denies io_uring_setup
-/// fails loudly instead of silently measuring epoll.  An unparseable value
-/// warns and stays kAuto.
-ReactorBackend resolve_reactor_backend(ReactorBackend requested) {
-  if (requested != ReactorBackend::kAuto) return requested;
-  const char* env = std::getenv("NOPFS_REACTOR");
-  if (env == nullptr || *env == '\0') return ReactorBackend::kAuto;
-  ReactorBackend parsed = ReactorBackend::kAuto;
-  if (!parse_reactor_backend(env, parsed)) {
-    util::log_warn(std::string("SocketTransport: NOPFS_REACTOR=") + env +
-                   " not recognized (want auto|epoll|io_uring); probing");
-    return ReactorBackend::kAuto;
-  }
-  return parsed;
 }
 
 void set_socket_timeout(int fd, int option, double seconds) {
@@ -100,7 +83,7 @@ bool recv_all(int fd, std::uint8_t* data, std::size_t len) {
 /// rides the reactor's SendQueues).
 void send_frame_blocking(int fd, wire::MsgType type, std::uint64_t arg,
                          const Bytes& payload) {
-  if (payload.size() > wire::kMaxPayloadBytes) {
+  if (payload.size() > wire::max_payload_bytes(type)) {
     throw std::runtime_error("SocketTransport: frame payload too large");
   }
   std::uint8_t header[wire::kHeaderBytes];
@@ -379,12 +362,7 @@ SocketTransport::SocketTransport(const SocketOptions& options) : options_(option
     }
     make_nonblocking(serve_listener_fd_);
 
-    const std::size_t event_batch = options_.reactor_event_batch != 0
-                                        ? options_.reactor_event_batch
-                                        : kDefaultEventBatch;
-    reactor_ = make_reactor(resolve_reactor_backend(options_.reactor_backend),
-                            event_batch);
-    reactor_backend_name_ = reactor_->backend_name();
+    reactor_ = std::make_unique<Reactor>();
     reactor_->post([this] {
       reactor_->set_iteration_hook([this] { loop_flush_dirty(); });
       reactor_->add_fd(serve_listener_fd_, kEventIn,
@@ -733,9 +711,6 @@ std::shared_ptr<SocketTransport::Session> SocketTransport::loop_make_session(
   session->fd = fd;
   session->kind = static_cast<Session::Kind>(kind);
   session->state = static_cast<Session::State>(state);
-  if (options_.send_gather_iovs != 0) {
-    session->sendq.set_max_flush_iov(options_.send_gather_iovs);
-  }
   loop_->sessions.emplace(fd, session);
   reactor_->add_fd(fd, kEventIn, [this, fd](std::uint32_t events) {
     loop_on_session_event(fd, events);
@@ -776,10 +751,9 @@ void SocketTransport::loop_on_session_event(int fd, std::uint32_t events) {
       }
     }
     if ((events & (kEventIn | kEventHup | kEventErr)) != 0) {
-      const std::size_t budget = options_.read_budget_bytes != 0
-                                     ? options_.read_budget_bytes
-                                     : wire::FrameReader::kDefaultReadBudget;
-      const wire::IoStatus status = session->reader.fill_from(session->fd, budget);
+      // A burst past the read budget leaves bytes in the socket; the
+      // level-triggered reactor fires again for them next iteration.
+      const wire::IoStatus status = session->reader.fill_from(session->fd);
       // Dispatch everything that arrived BEFORE acting on EOF: a peer's
       // teardown-flushed deltas can land in the same read as its close,
       // and they must still fold.
@@ -793,22 +767,6 @@ void SocketTransport::loop_on_session_event(int fd, std::uint32_t events) {
         }
         loop_close_session(session);
         return;
-      }
-      if (status == wire::IoStatus::kDone) {
-        // Budget truncation: unread bytes remain in the socket buffer.
-        // Level-triggered epoll would refire on its own, but the io_uring
-        // multishot poll only wakes on NEW kernel activity — a quiet peer
-        // whose burst we truncated would hang.  Post a continuation so the
-        // remainder is consumed on the next loop iteration regardless of
-        // backend (and other sessions still get their turn in between).
-        const std::weak_ptr<Session> weak = session;
-        reactor_->post([this, weak] {
-          const auto live = weak.lock();
-          if (live && live->fd >= 0 &&
-              live->state != Session::State::kClosed) {
-            loop_on_session_event(live->fd, kEventIn);
-          }
-        });
       }
     }
     if ((events & kEventOut) != 0) loop_flush_session(session);
@@ -1845,21 +1803,27 @@ void SocketTransport::loop_check_drained() {
 // ---------------------------------------------------------------------------
 
 std::uint16_t pick_free_port() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("socket");
-  sockaddr_in addr = make_addr(htonl(INADDR_LOOPBACK), 0);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+  // An ephemeral port probed with bind(0) and released can be handed out
+  // again — to a serve listener's bind(0) or a connect's source port —
+  // before the rendezvous binds it, failing the world with EADDRINUSE (about
+  // 1 in 1300 back-to-back 2-rank worlds).  Ports outside the range are
+  // only ever claimed by an explicit bind.
+  std::uint32_t low = 32768;
+  std::uint32_t high = 60999;
+  std::ifstream("/proc/sys/net/ipv4/ip_local_port_range") >> low >> high;
+  thread_local std::minstd_rand rng{std::random_device{}()};
+  std::uniform_int_distribution<std::uint32_t> any_port(1024, 65535);
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    const std::uint32_t port = any_port(rng);
+    if (port >= low && port <= high) continue;
+    const int fd = make_tcp_socket();
+    sockaddr_in addr =
+        make_addr(htonl(INADDR_LOOPBACK), static_cast<std::uint16_t>(port));
+    const bool free = ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
     ::close(fd);
-    throw_errno("bind(pick_free_port)");
+    if (free) return static_cast<std::uint16_t>(port);
   }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(fd);
-    throw_errno("getsockname(pick_free_port)");
-  }
-  const std::uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
+  throw std::runtime_error("SocketTransport: no free port outside the ephemeral range");
 }
 
 }  // namespace nopfs::net

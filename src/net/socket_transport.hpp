@@ -18,10 +18,9 @@
 //     same sequence, so no generation tags are needed).
 //   * Serving (DESIGN.md Sec. 7.5/7.6): all socket I/O — accepted serve
 //     connections, dialed peer channels, control connections, rendezvous —
-//     runs on ONE reactor thread (net/reactor.hpp; epoll or io_uring per
-//     SocketOptions::reactor_backend) as non-blocking per-peer Session
-//     state machines.  The process's thread count is reactor + gossip
-//     regardless of world size.  Fetch is pipelined:
+//     runs on ONE epoll reactor thread (net/reactor.hpp) as non-blocking
+//     per-peer Session state machines.  The process's thread count is
+//     reactor + gossip regardless of world size.  Fetch is pipelined:
 //     fetch_sample_start() enqueues a kFetch and returns a ticket,
 //     fetch_sample_finish() parks on it, and replies match tickets FIFO
 //     because the serve side answers one connection's requests in order.
@@ -101,21 +100,6 @@ struct SocketOptions {
   /// Virtual seconds per real second: converts gossip.flush_virtual_s to a
   /// real flush cadence (matches RuntimeConfig::time_scale in the harness).
   double time_scale = 1.0;
-  /// Which event loop carries this transport (DESIGN.md Sec. 7.6).  kAuto
-  /// honors the NOPFS_REACTOR environment variable when set, then probes:
-  /// io_uring where the kernel grants it, epoll otherwise — the fallback is
-  /// silent and recorded via reactor_backend().  An explicit kIoUring (flag
-  /// or env) throws where the probe fails rather than degrade unnoticed.
-  ReactorBackend reactor_backend = ReactorBackend::kAuto;
-  /// Reactor poll batch: events dispatched per loop iteration (historical
-  /// epoll events[64]).  0 = default.  Backend A/B sweeps tune these three.
-  std::size_t reactor_event_batch = 0;
-  /// wire::FrameReader per-event fairness budget in bytes (0 = the 4 MB
-  /// default): one session's burst cannot starve the rest of the loop.
-  std::size_t read_budget_bytes = 0;
-  /// wire::SendQueue gather cap in iovecs per sendmsg (0 = the default 32;
-  /// a frame is up to two iovecs).
-  std::size_t send_gather_iovs = 0;
 };
 
 class SocketTransport final : public Transport {
@@ -176,11 +160,8 @@ class SocketTransport final : public Transport {
   /// Port of this rank's serve listener (diagnostics / tests).
   [[nodiscard]] std::uint16_t serve_port() const noexcept { return serve_port_; }
 
-  /// The backend that actually carries this transport ("epoll" or
-  /// "io_uring") — under kAuto this records which way the runtime probe
-  /// resolved; RuntimeResult carries it into worker reports.
   [[nodiscard]] const char* reactor_backend() const noexcept override {
-    return reactor_backend_name_;
+    return "epoll";
   }
 
   /// Drains any queued contention deltas (and, on rank 0, any pending
@@ -314,7 +295,6 @@ class SocketTransport final : public Transport {
   std::unique_ptr<Reactor> reactor_;
   std::unique_ptr<Loop> loop_;
 
-  const char* reactor_backend_name_ = "none";  // static-literal, copy-safe
   int serve_listener_fd_ = -1;
   std::uint16_t serve_port_ = 0;
   int rendezvous_listener_fd_ = -1;
@@ -379,9 +359,10 @@ class SocketTransport final : public Transport {
   bool gossip_stop_ = false;
 };
 
-/// Reserves an OS-assigned free loopback port and releases it immediately:
-/// the caller hands it to a SocketTransport world (tests, process spawners).
-/// The tiny release-to-bind window is harmless on loopback.
+/// A loopback port that is free now, for the caller to hand to a
+/// SocketTransport world (tests, process spawners).  It lies outside the
+/// kernel's ephemeral range, so no bind to port 0 or outgoing connect can
+/// take it before the rendezvous binds it.
 [[nodiscard]] std::uint16_t pick_free_port();
 
 }  // namespace nopfs::net

@@ -295,6 +295,33 @@ SweepResultBatch decode_sweep_result_batch(
   return batch;
 }
 
+std::uint32_t max_payload_bytes(MsgType type) noexcept {
+  switch (type) {
+    case MsgType::kHello:
+      return 4 + 4 + 2 + 4;  // protocol, world, serve port, max_world
+    case MsgType::kWelcome:
+      return 4 + 6 * kMaxWelcomeRanks;  // protocol + (ipv4, port) per rank
+    case MsgType::kFetch:
+    case MsgType::kMiss:
+      return 0;
+    case MsgType::kWatermark:
+    case MsgType::kSweepPull:
+    case MsgType::kSweepDone:
+      return 4;
+    case MsgType::kPfsDelta:
+    case MsgType::kPfsGamma:
+      return 8;
+    case MsgType::kSweepGrant:
+      return 16;
+    case MsgType::kGather:
+    case MsgType::kAllgather:
+    case MsgType::kHit:
+    case MsgType::kSweepResult:
+      return kMaxPayloadBytes;
+  }
+  return 0;
+}
+
 FrameHeader decode_header(const std::uint8_t (&in)[kHeaderBytes]) {
   Reader reader(in, kHeaderBytes);
   const std::uint32_t magic = reader.u32();
@@ -314,8 +341,8 @@ FrameHeader decode_header(const std::uint8_t (&in)[kHeaderBytes]) {
   }
   header.arg = reader.u64();
   header.payload_len = reader.u32();
-  if (header.payload_len > kMaxPayloadBytes) {
-    throw std::runtime_error("wire: payload exceeds sanity cap");
+  if (header.payload_len > max_payload_bytes(header.type)) {
+    throw std::runtime_error("wire: payload exceeds the cap for its type");
   }
   return header;
 }
@@ -403,8 +430,8 @@ Frame FrameReader::pop_frame() {
 
 void SendQueue::push(MsgType type, std::uint64_t arg,
                      std::vector<std::uint8_t> payload) {
-  if (payload.size() > kMaxPayloadBytes) {
-    throw std::runtime_error("wire: payload exceeds sanity cap");
+  if (payload.size() > max_payload_bytes(type)) {
+    throw std::runtime_error("wire: payload exceeds the cap for its type");
   }
   Entry entry;
   encode_header(entry.header, type, arg,
@@ -421,17 +448,13 @@ void SendQueue::push(MsgType type, std::uint64_t arg,
   push(type, arg, std::move(copy));
 }
 
-void SendQueue::set_max_flush_iov(std::size_t cap) noexcept {
-  max_flush_iov_ = std::clamp<std::size_t>(cap, 2, kMaxFlushIovCap);
-}
-
 IoStatus SendQueue::flush(int fd) {
   while (!entries_.empty()) {
-    iovec iov[kMaxFlushIovCap];
+    iovec iov[kMaxFlushIov];
     std::size_t iovcnt = 0;
     std::size_t skip = front_offset_;  // non-zero only for the front entry
     for (auto it = entries_.begin();
-         it != entries_.end() && iovcnt + 2 <= max_flush_iov_; ++it) {
+         it != entries_.end() && iovcnt + 2 <= kMaxFlushIov; ++it) {
       if (skip < kHeaderBytes) {
         iov[iovcnt].iov_base = it->header + skip;
         iov[iovcnt].iov_len = kHeaderBytes - skip;

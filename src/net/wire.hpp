@@ -9,14 +9,16 @@
 // helpers below are byte-explicit).  `arg` carries the small fixed operand of
 // each message (rank, sample id, watermark position) so the common cases —
 // barriers, fetch requests, watermark gossip — need no payload allocation.
-// The payload length is bounded by kMaxPayloadBytes so a corrupt or
-// truncated frame fails loudly instead of driving a gigabyte allocation.
+// The payload length is bounded per message type (max_payload_bytes) before
+// anything is allocated: fixed-size frames by their exact size, variable
+// ones by kMaxPayloadBytes, so a corrupt or truncated header fails loudly
+// instead of driving a gigabyte allocation.
 //
 // Two consumers sit on top of the frame format:
 //
 //   * the blocking rendezvous handshake (send_all/recv_all in
 //     socket_transport.cpp) encodes/decodes one frame at a time;
-//   * the epoll reactor (net/reactor.hpp) pumps non-blocking fds through
+//   * the reactor (net/reactor.hpp) pumps non-blocking fds through
 //     FrameReader (incremental parse across partial reads) and SendQueue
 //     (buffered partial writes, scatter/gather flush: a kHit header and its
 //     sample payload leave in one sendmsg).
@@ -37,6 +39,8 @@ namespace nopfs::net::wire {
 inline constexpr std::uint32_t kMagic = 0x4E504653u;  // "NPFS"
 inline constexpr std::size_t kHeaderBytes = 4 + 1 + 8 + 4;
 inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 30;  // 1 GiB sanity cap
+/// Ranks a kWelcome endpoint table may list (it carries 6 bytes per rank).
+inline constexpr std::uint32_t kMaxWelcomeRanks = 1u << 20;
 
 /// Protocol revision carried in the rendezvous handshake (kHello leads with
 /// it, kWelcome echoes it back).  Bumped whenever a frame's meaning changes
@@ -135,6 +139,12 @@ struct SweepResultBatch {
   std::vector<sim::SimResult> results;
 };
 
+/// Largest payload a frame of `type` may carry.  Fixed-size frames get their
+/// exact size (kHello its longer rendezvous form); only the frames whose
+/// payload is data — kHit, kGather/kAllgather (collective contributions,
+/// e.g. a job's cache plan) and kSweepResult — keep kMaxPayloadBytes.
+[[nodiscard]] std::uint32_t max_payload_bytes(MsgType type) noexcept;
+
 struct FrameHeader {
   MsgType type = MsgType::kMiss;
   std::uint64_t arg = 0;
@@ -202,8 +212,8 @@ class Reader {
 void encode_header(std::uint8_t (&out)[kHeaderBytes], MsgType type,
                    std::uint64_t arg, std::uint32_t payload_len);
 
-/// Parses and validates a frame header (magic, payload bound).  Throws
-/// std::runtime_error on a malformed header.
+/// Parses and validates a frame header (magic, type, the type's payload
+/// bound).  Throws std::runtime_error on a malformed header.
 [[nodiscard]] FrameHeader decode_header(const std::uint8_t (&in)[kHeaderBytes]);
 
 // --- contention frame payloads ---------------------------------------------
@@ -270,6 +280,8 @@ struct Frame {
 class FrameReader {
  public:
   /// Per-call read budget: one session cannot starve the rest of the loop.
+  /// Bytes left in the socket past it fire the level-triggered reactor
+  /// again on its next iteration.
   static constexpr std::size_t kDefaultReadBudget = 4u << 20;
 
   /// Pumps bytes from `fd` until it would block, reaches EOF, or roughly
@@ -305,22 +317,16 @@ class FrameReader {
 /// Outbound frame queue for a non-blocking socket.  push() stages a frame
 /// (header encoded in place, payload moved in — never copied); flush()
 /// writes as much as the socket accepts with one sendmsg() per batch,
-/// gathering up to the configured iovec cap so a kHit header and its sample
+/// gathering up to kMaxFlushIov iovecs so a kHit header and its sample
 /// payload — and any frames queued behind them — leave in one syscall.
 /// Partial writes persist as a byte offset into the front frame.
 class SendQueue {
  public:
-  /// Default gather cap in iovecs per sendmsg (a frame is a header iovec
-  /// plus, when non-empty, a payload iovec — so ~32 small frames a batch).
-  static constexpr std::size_t kDefaultMaxFlushIov = 32;
-  /// Hard ceiling for set_max_flush_iov (stack-allocated iovec array; also
-  /// comfortably below the kernel's UIO_MAXIOV).
-  static constexpr std::size_t kMaxFlushIovCap = 256;
+  /// Gather cap in iovecs per sendmsg (a frame is a header iovec plus, when
+  /// non-empty, a payload iovec — so 16 to 32 small frames a batch).
+  static constexpr std::size_t kMaxFlushIov = 32;
 
-  /// Re-tunes the gather cap (SocketOptions::send_gather_iovs — backend A/B
-  /// sweeps); clamped to [2, kMaxFlushIovCap].
-  void set_max_flush_iov(std::size_t cap) noexcept;
-
+  /// Throws std::runtime_error when `payload` exceeds max_payload_bytes(type).
   void push(MsgType type, std::uint64_t arg, std::vector<std::uint8_t> payload);
   void push(MsgType type, std::uint64_t arg, const std::uint8_t* payload,
             std::size_t len);
@@ -342,7 +348,6 @@ class SendQueue {
   std::deque<Entry> entries_;
   std::size_t front_offset_ = 0;  // bytes of the front entry already sent
   std::size_t bytes_ = 0;
-  std::size_t max_flush_iov_ = kDefaultMaxFlushIov;
 };
 
 }  // namespace nopfs::net::wire

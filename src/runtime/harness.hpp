@@ -28,7 +28,6 @@
 
 #include "baselines/loader.hpp"
 #include "data/dataset.hpp"
-#include "net/reactor.hpp"
 #include "net/transport.hpp"
 #include "scenario/fault_plan.hpp"
 #include "tiers/devices.hpp"
@@ -105,10 +104,9 @@ struct RuntimeResult {
   /// mode it matches the threaded harness; in per-process mode it cannot
   /// exceed 1, which is exactly the documented historical deviation.
   int pfs_peak_gamma = 0;
-  /// Event-loop backend that carried this rank's transport ("epoll",
-  /// "io_uring", or "none" for thread-worker/SimTransport runs).  Recorded
-  /// so a result always states which loop produced it — digest and gamma
-  /// must be identical across backends, throughput need not be.
+  /// Event loop that carried this rank's transport ("epoll", or "none" for
+  /// thread-worker/SimTransport runs).  Kept for its perfbench users only
+  /// (see the compatibility note in net/reactor.hpp).
   std::string reactor_backend = "none";
 
   [[nodiscard]] util::Summary batch_summary_rest() const {
@@ -169,10 +167,6 @@ struct WorkerEndpoint {
   std::string rendezvous_host = "127.0.0.1";
   std::uint16_t rendezvous_port = 0;
   double timeout_s = 120.0;
-  /// Event-loop backend for this rank's SocketTransport.  kAuto honors the
-  /// NOPFS_REACTOR env var, probes the kernel, and falls back to epoll
-  /// silently; an explicit kIoUring fails loudly where the ring is denied.
-  net::ReactorBackend reactor = net::ReactorBackend::kAuto;
 };
 
 /// Convenience launcher: builds this rank's emulated devices, performs the

@@ -21,7 +21,6 @@ sim::SweepServiceReport run_sweep_job(const std::vector<sim::SweepPoint>& points
   socket.rendezvous_host = endpoint.rendezvous_host;
   socket.rendezvous_port = endpoint.rendezvous_port;
   socket.timeout_s = endpoint.timeout_s;
-  socket.reactor_backend = endpoint.reactor;
   if (options.max_workers > endpoint.world_size) {
     socket.max_world = options.max_workers;
   }

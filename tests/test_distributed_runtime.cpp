@@ -62,14 +62,12 @@ std::uint64_t expected_verified(int world_size) {
 /// Runs one rank of a socket world in this process (own devices, own
 /// transport — exactly what a worker process does).
 RuntimeResult run_socket_rank(const data::Dataset& dataset, const RuntimeConfig& config,
-                              int rank, int world_size, std::uint16_t port,
-                              net::ReactorBackend backend = net::ReactorBackend::kAuto) {
+                              int rank, int world_size, std::uint16_t port) {
   WorkerEndpoint endpoint;
   endpoint.rank = rank;
   endpoint.world_size = world_size;
   endpoint.rendezvous_port = port;
   endpoint.timeout_s = 60.0;
-  endpoint.reactor = backend;
   return run_distributed(dataset, config, endpoint);
 }
 
@@ -144,49 +142,6 @@ TEST(DistributedRuntime, TwoRankSocketWorldMatchesThreadedHarness) {
   EXPECT_EQ(results[0].delivered_digest, threaded.delivered_digest);
   EXPECT_EQ(results[0].verified_samples, expected_verified(2));
   EXPECT_EQ(results[0].verification_failures, 0u);
-}
-
-TEST(DistributedRuntime, IoUringBackendMatchesEpollDigestAndGamma) {
-  // The cross-backend acceptance gate on the worker-loopback shape: the
-  // SAME 2-rank socket job run on the epoll reactor and the io_uring
-  // reactor must be indistinguishable in everything the protocol promises
-  // — delivered digest bit-for-bit, verified samples, gamma envelope.  The
-  // backend may only change HOW readiness is learned, never what arrives.
-  if (!net::io_uring_available()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-  const auto dataset = worker_dataset();
-  const RuntimeConfig config = worker_config(2, baselines::LoaderKind::kNoPFS);
-
-  std::array<std::array<RuntimeResult, 2>, 2> by_backend;
-  const std::array<net::ReactorBackend, 2> backends = {
-      net::ReactorBackend::kEpoll, net::ReactorBackend::kIoUring};
-  for (std::size_t b = 0; b < backends.size(); ++b) {
-    const std::uint16_t port = net::pick_free_port();
-    std::array<std::string, 2> errors;
-    std::vector<std::thread> ranks;
-    for (int r = 0; r < 2; ++r) {
-      ranks.emplace_back([&, b, r] {
-        try {
-          by_backend[b][static_cast<std::size_t>(r)] =
-              run_socket_rank(dataset, config, r, 2, port, backends[b]);
-        } catch (const std::exception& ex) {
-          errors[static_cast<std::size_t>(r)] = ex.what();
-        }
-      });
-    }
-    for (auto& t : ranks) t.join();
-    ASSERT_TRUE(errors[0].empty()) << errors[0];
-    ASSERT_TRUE(errors[1].empty()) << errors[1];
-  }
-
-  EXPECT_EQ(by_backend[0][0].reactor_backend, "epoll");
-  EXPECT_EQ(by_backend[1][0].reactor_backend, "io_uring");
-  EXPECT_EQ(by_backend[1][0].delivered_digest, by_backend[0][0].delivered_digest);
-  EXPECT_EQ(by_backend[1][1].delivered_digest, by_backend[0][1].delivered_digest);
-  EXPECT_EQ(by_backend[1][0].verified_samples, by_backend[0][0].verified_samples);
-  EXPECT_EQ(by_backend[1][0].pfs_peak_gamma, by_backend[0][0].pfs_peak_gamma);
-  EXPECT_EQ(by_backend[1][0].verification_failures, 0u);
 }
 
 // ---------------------------------------------------------------------------

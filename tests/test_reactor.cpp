@@ -1,13 +1,12 @@
-// Backend-conformance suite for the pluggable reactor (DESIGN.md Sec. 7.6)
-// plus the reactor-backed SocketTransport paths the threaded-era suite could
-// not exercise.  Every case runs against BOTH event-loop backends — epoll
-// and io_uring — through the same abstract interface: task FIFO, timer
-// ordering, fd dispatch, generation-tagged re-registration, the mod_fd
-// missed-edge hazard, the pipelined-fetch ticket API (dozens of kFetch in
-// flight on ONE connection, interleaved with kPfsDelta gossip on the same
-// wire), read-budget truncation continuations, and dead-rank gamma release
-// when a peer process dies abruptly (fork + _exit, the real crash shape).
-// io_uring cases skip cleanly where the kernel denies io_uring_setup.
+// Conformance suite for the epoll reactor (DESIGN.md Sec. 7.5) plus the
+// reactor-backed SocketTransport paths the threaded-era suite could not
+// exercise: task FIFO, timer ordering, fd dispatch, level-triggered
+// re-delivery of unread bytes, generation-tagged re-registration, the
+// mod_fd missed-edge hazard, the pipelined-fetch ticket API (dozens of
+// kFetch in flight on ONE connection, interleaved with kPfsDelta gossip on
+// the same wire), bursts larger than the read budget, and dead-rank gamma
+// release when a peer process dies abruptly (fork + _exit, the real crash
+// shape).
 
 #include <gtest/gtest.h>
 
@@ -30,6 +29,7 @@
 
 #include "net/reactor.hpp"
 #include "net/socket_transport.hpp"
+#include "net/wire.hpp"
 
 namespace nopfs::net {
 namespace {
@@ -44,32 +44,14 @@ bool eventually(const std::function<bool()>& predicate,
   return predicate();
 }
 
-std::string backend_case_name(
-    const ::testing::TestParamInfo<ReactorBackend>& info) {
-  return to_string(info.param);
+TEST(Reactor, CompatibilitySpellingBuildsTheEpollLoop) {
+  EXPECT_STREQ(make_reactor(ReactorBackend::kAuto)->backend_name(), "epoll");
 }
 
-/// Fixture over the two concrete backends.  io_uring skips (not fails)
-/// where the kernel refuses the ring — CI runners vary.
-class ReactorBackendTest : public ::testing::TestWithParam<ReactorBackend> {
- protected:
-  void SetUp() override {
-    if (GetParam() == ReactorBackend::kIoUring && !io_uring_available()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
-  }
-
-  std::unique_ptr<Reactor> make() { return make_reactor(GetParam()); }
-};
-
-TEST_P(ReactorBackendTest, ReportsItsOwnBackendName) {
-  EXPECT_STREQ(make()->backend_name(), to_string(GetParam()));
-}
-
-TEST_P(ReactorBackendTest, TasksRunInPostOrder) {
+TEST(Reactor, TasksRunInPostOrder) {
   // The FIFO guarantee is what the transport's gossip sequencing leans on:
   // post A then B from one thread must run A before B on the loop.
-  auto reactor = make();
+  auto reactor = std::make_unique<Reactor>();
   reactor->start();
   std::mutex mutex;
   std::vector<int> order;
@@ -90,8 +72,8 @@ TEST_P(ReactorBackendTest, TasksRunInPostOrder) {
   reactor->stop();
 }
 
-TEST_P(ReactorBackendTest, TimersFireInDeadlineOrderWithPostOrderTieBreak) {
-  auto reactor = make();
+TEST(Reactor, TimersFireInDeadlineOrderWithPostOrderTieBreak) {
+  auto reactor = std::make_unique<Reactor>();
   std::mutex mutex;
   std::vector<int> order;
   std::condition_variable cv;
@@ -123,13 +105,13 @@ TEST_P(ReactorBackendTest, TimersFireInDeadlineOrderWithPostOrderTieBreak) {
   reactor->stop();
 }
 
-TEST_P(ReactorBackendTest, DispatchesFdEventsAndHonorsSelfRemoval) {
+TEST(Reactor, DispatchesFdEventsAndHonorsSelfRemoval) {
   // A pipe becomes readable; its handler reads, then del_fd()s itself
   // mid-dispatch — the shared_ptr-held handler must survive its own
   // removal, and no further events may be delivered.
   int pipe_fds[2];
   ASSERT_EQ(::pipe(pipe_fds), 0);
-  auto reactor = make();
+  auto reactor = std::make_unique<Reactor>();
   std::atomic<int> fired{0};
   reactor->add_fd(pipe_fds[0], kEventIn, [&, r = reactor.get()](std::uint32_t) {
     char buf[8];
@@ -149,13 +131,38 @@ TEST_P(ReactorBackendTest, DispatchesFdEventsAndHonorsSelfRemoval) {
   ::close(pipe_fds[1]);
 }
 
-TEST_P(ReactorBackendTest, ReRegisteredFdRoutesOnlyToTheNewHandler) {
-  // del_fd + add_fd of the SAME fd inside a handler: any event the backend
+TEST(Reactor, UnreadBytesFireTheHandlerAgain) {
+  // Level-triggered readiness is what the transport's read budget relies
+  // on: a handler that stops with bytes still queued must run again for
+  // them without any new write.  Here each dispatch reads one byte of a
+  // 64-byte burst written once.
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  auto reactor = std::make_unique<Reactor>();
+  std::atomic<int> consumed{0};
+  reactor->add_fd(pipe_fds[0], kEventIn, [&](std::uint32_t) {
+    char byte;
+    if (::read(pipe_fds[0], &byte, 1) == 1) ++consumed;
+  });
+  const std::vector<char> burst(64, 'z');
+  ASSERT_EQ(::write(pipe_fds[1], burst.data(), burst.size()),
+            static_cast<ssize_t>(burst.size()));
+  reactor->start();
+  EXPECT_TRUE(eventually([&] { return consumed.load() == 64; }))
+      << "handler stopped after " << consumed.load() << " of 64 bytes";
+  reactor->post([&, r = reactor.get()] { r->del_fd(pipe_fds[0]); });
+  reactor->stop();
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
+}
+
+TEST(Reactor, ReRegisteredFdRoutesOnlyToTheNewHandler) {
+  // del_fd + add_fd of the SAME fd inside a handler: any event epoll
   // already collected for the old registration must be dropped by its stale
   // generation tag, and later readiness must reach only the new handler.
   int pipe_fds[2];
   ASSERT_EQ(::pipe(pipe_fds), 0);
-  auto reactor = make();
+  auto reactor = std::make_unique<Reactor>();
   std::atomic<int> first{0};
   std::atomic<int> second{0};
   reactor->add_fd(pipe_fds[0], kEventIn, [&, r = reactor.get()](std::uint32_t) {
@@ -181,14 +188,12 @@ TEST_P(ReactorBackendTest, ReRegisteredFdRoutesOnlyToTheNewHandler) {
   ::close(pipe_fds[1]);
 }
 
-TEST_P(ReactorBackendTest, ModFdDeliversReadinessPresentBeforeTheMod) {
+TEST(Reactor, ModFdDeliversReadinessPresentBeforeTheMod) {
   // The missed-edge hazard: a mask widened to kEventOut on an ALREADY
-  // writable socket must still dispatch.  Level-triggered epoll gives this
-  // for free; the io_uring backend must re-arm a fresh poll whose initial
-  // vfs_poll re-checks readiness rather than waiting for a new edge.
+  // writable socket must still dispatch, without waiting for a new edge.
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  auto reactor = make();
+  auto reactor = std::make_unique<Reactor>();
   std::atomic<int> out_events{0};
   reactor->add_fd(sv[0], kEventIn, [&](std::uint32_t events) {
     if ((events & kEventOut) != 0) ++out_events;
@@ -203,51 +208,31 @@ TEST_P(ReactorBackendTest, ModFdDeliversReadinessPresentBeforeTheMod) {
   ::close(sv[1]);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, ReactorBackendTest,
-                         ::testing::Values(ReactorBackend::kEpoll,
-                                           ReactorBackend::kIoUring),
-                         backend_case_name);
-
-/// Transport-level conformance: the same fixture pattern, but the backend
-/// flows in through SocketOptions::reactor_backend.
-class ReactorTransportTest : public ::testing::TestWithParam<ReactorBackend> {
- protected:
-  void SetUp() override {
-    if (GetParam() == ReactorBackend::kIoUring && !io_uring_available()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
+/// Builds a connected 2-rank world over loopback (same idiom as
+/// tests/test_socket_transport.cpp).
+std::vector<std::unique_ptr<SocketTransport>> make_pair_world() {
+  const std::uint16_t port = pick_free_port();
+  std::vector<std::unique_ptr<SocketTransport>> endpoints(2);
+  std::vector<std::thread> threads;
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      SocketOptions options;
+      options.rank = r;
+      options.world_size = 2;
+      options.rendezvous_port = port;
+      options.timeout_s = 30.0;
+      endpoints[static_cast<std::size_t>(r)] =
+          std::make_unique<SocketTransport>(options);
+    });
   }
-
-  /// Builds a connected 2-rank world over loopback (same idiom as
-  /// tests/test_socket_transport.cpp), both ranks on GetParam()'s backend.
-  std::vector<std::unique_ptr<SocketTransport>> make_pair_world(
-      std::size_t read_budget_bytes = 0) {
-    const std::uint16_t port = pick_free_port();
-    std::vector<std::unique_ptr<SocketTransport>> endpoints(2);
-    std::vector<std::thread> threads;
-    for (int r = 0; r < 2; ++r) {
-      threads.emplace_back([&, r] {
-        SocketOptions options;
-        options.rank = r;
-        options.world_size = 2;
-        options.rendezvous_port = port;
-        options.timeout_s = 30.0;
-        options.reactor_backend = GetParam();
-        options.read_budget_bytes = read_budget_bytes;
-        endpoints[static_cast<std::size_t>(r)] =
-            std::make_unique<SocketTransport>(options);
-      });
-    }
-    for (auto& t : threads) t.join();
-    for (const auto& endpoint : endpoints) {
-      if (endpoint == nullptr) throw std::runtime_error("handshake failed");
-    }
-    EXPECT_STREQ(endpoints[0]->reactor_backend(), to_string(GetParam()));
-    return endpoints;
+  for (auto& t : threads) t.join();
+  for (const auto& endpoint : endpoints) {
+    if (endpoint == nullptr) throw std::runtime_error("handshake failed");
   }
-};
+  return endpoints;
+}
 
-TEST_P(ReactorTransportTest, DozensInFlightInterleavedWithGossip) {
+TEST(ReactorTransport, DozensInFlightInterleavedWithGossip) {
   // The ticket API keeps a deep train of kFetch frames on rank 1's single
   // channel to rank 0 while unary kPfsDelta frames ride the SAME
   // connection between them.  Every reply must land on the ticket that
@@ -317,7 +302,7 @@ TEST_P(ReactorTransportTest, DozensInFlightInterleavedWithGossip) {
   endpoints[1]->set_pfs_listener({});
 }
 
-TEST_P(ReactorTransportTest, TicketsFromManyThreadsShareOneConnection) {
+TEST(ReactorTransport, TicketsFromManyThreadsShareOneConnection) {
   // Several caller threads each keep their own ticket window on the same
   // channel session; per-connection reply matching must never cross wires.
   auto endpoints = make_pair_world();
@@ -349,13 +334,14 @@ TEST_P(ReactorTransportTest, TicketsFromManyThreadsShareOneConnection) {
   EXPECT_EQ(bad.load(), 0);
 }
 
-TEST_P(ReactorTransportTest, TinyReadBudgetStillDrainsLargeBursts) {
-  // A read budget far below one reply forces kDone truncation on every
-  // fill; the transport's posted continuation must keep consuming.  This
-  // pins the multishot-poll hazard: the socket goes quiet after the burst,
-  // so an io_uring backend that waited for a fresh edge would hang here.
-  auto endpoints = make_pair_world(/*read_budget_bytes=*/4096);
-  constexpr std::size_t kPayload = 64u << 10;  // 16 budgets per reply
+TEST(ReactorTransport, BurstsPastTheReadBudgetDrainIntact) {
+  // Eight 1 MiB replies pipelined on one connection put twice the
+  // per-event read budget in flight, so fills stop at the budget with
+  // bytes still in the socket; level-triggered readiness must bring the
+  // loop back for them, and every reply must land whole on its ticket.
+  auto endpoints = make_pair_world();
+  constexpr std::size_t kPayload = 1u << 20;
+  static_assert(8 * kPayload > wire::FrameReader::kDefaultReadBudget);
   endpoints[0]->set_serve_handler([](std::uint64_t id) -> std::optional<Bytes> {
     Bytes bytes(kPayload);
     for (std::size_t i = 0; i < bytes.size(); ++i) {
@@ -384,15 +370,14 @@ TEST_P(ReactorTransportTest, TinyReadBudgetStillDrainsLargeBursts) {
   EXPECT_EQ(bad, 0);
 }
 
-TEST_P(ReactorTransportTest, AbruptPeerDeathReleasesGammaFromReactorPath) {
+TEST(ReactorTransport, AbruptPeerDeathReleasesGammaFromReactorPath) {
   // fork + _exit is the real crash shape: the child's transport never runs
   // a destructor, sends no teardown frames, and the kernel closes its
   // sockets.  The root's reactor must see EOF on the serve session that
   // carried the child's delta and drop the dead rank's outstanding
   // readers.  (Fork happens before EITHER transport exists, so the child
-  // inherits no reactor threads, ring fds, or locks.)
+  // inherits no reactor threads, epoll fds, or locks.)
   const std::uint16_t port = pick_free_port();
-  const ReactorBackend backend = GetParam();
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
@@ -404,7 +389,6 @@ TEST_P(ReactorTransportTest, AbruptPeerDeathReleasesGammaFromReactorPath) {
       options.world_size = 2;
       options.rendezvous_port = port;
       options.timeout_s = 30.0;
-      options.reactor_backend = backend;
       SocketTransport transport(options);
       std::atomic<int> gamma{-1};
       transport.set_pfs_listener([&](int g) { gamma = g; });
@@ -427,7 +411,6 @@ TEST_P(ReactorTransportTest, AbruptPeerDeathReleasesGammaFromReactorPath) {
   options.world_size = 2;
   options.rendezvous_port = port;
   options.timeout_s = 30.0;
-  options.reactor_backend = backend;
   SocketTransport root(options);
   std::atomic<int> gamma_at_root{-1};
   root.set_pfs_listener([&](int gamma) { gamma_at_root = gamma; });
@@ -450,11 +433,6 @@ TEST_P(ReactorTransportTest, AbruptPeerDeathReleasesGammaFromReactorPath) {
       << gamma_at_root.load() << ")";
   root.set_pfs_listener({});
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, ReactorTransportTest,
-                         ::testing::Values(ReactorBackend::kEpoll,
-                                           ReactorBackend::kIoUring),
-                         backend_case_name);
 
 }  // namespace
 }  // namespace nopfs::net

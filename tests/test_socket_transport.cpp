@@ -8,11 +8,13 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -50,10 +52,11 @@ std::vector<std::unique_ptr<SocketTransport>> make_world(int n,
 }
 
 TEST(Wire, HeaderRoundTrip) {
+  // kHit: a payload-carrying type, so an arbitrary length is in bounds.
   std::uint8_t raw[wire::kHeaderBytes];
-  wire::encode_header(raw, wire::MsgType::kFetch, 0xDEADBEEFCAFEull, 12345);
+  wire::encode_header(raw, wire::MsgType::kHit, 0xDEADBEEFCAFEull, 12345);
   const wire::FrameHeader header = wire::decode_header(raw);
-  EXPECT_EQ(header.type, wire::MsgType::kFetch);
+  EXPECT_EQ(header.type, wire::MsgType::kHit);
   EXPECT_EQ(header.arg, 0xDEADBEEFCAFEull);
   EXPECT_EQ(header.payload_len, 12345u);
 }
@@ -63,8 +66,101 @@ TEST(Wire, RejectsBadMagicAndOversizedPayload) {
   wire::encode_header(raw, wire::MsgType::kHit, 1, 1);
   raw[0] ^= 0xff;
   EXPECT_THROW((void)wire::decode_header(raw), std::runtime_error);
-  wire::encode_header(raw, wire::MsgType::kHit, 1, wire::kMaxPayloadBytes + 1);
-  EXPECT_THROW((void)wire::decode_header(raw), std::runtime_error);
+
+  // Every type's cap holds at the header, before the reader allocates:
+  // fixed-size frames accept at most their exact size, payload-carrying
+  // ones at most kMaxPayloadBytes.  The last byte past each cap throws.
+  struct Case {
+    wire::MsgType type;
+    std::uint32_t cap;
+  };
+  const Case cases[] = {
+      {wire::MsgType::kHello, 14},
+      {wire::MsgType::kWelcome, 4 + 6 * wire::kMaxWelcomeRanks},
+      {wire::MsgType::kGather, wire::kMaxPayloadBytes},
+      {wire::MsgType::kAllgather, wire::kMaxPayloadBytes},
+      {wire::MsgType::kFetch, 0},
+      {wire::MsgType::kHit, wire::kMaxPayloadBytes},
+      {wire::MsgType::kMiss, 0},
+      {wire::MsgType::kWatermark, 4},
+      {wire::MsgType::kPfsDelta, 8},
+      {wire::MsgType::kPfsGamma, 8},
+      {wire::MsgType::kSweepPull, 4},
+      {wire::MsgType::kSweepResult, wire::kMaxPayloadBytes},
+      {wire::MsgType::kSweepGrant, 16},
+      {wire::MsgType::kSweepDone, 4},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.type));
+    EXPECT_EQ(wire::max_payload_bytes(c.type), c.cap);
+    wire::encode_header(raw, c.type, 1, c.cap);
+    EXPECT_EQ(wire::decode_header(raw).payload_len, c.cap);
+    wire::encode_header(raw, c.type, 1, c.cap + 1);
+    EXPECT_THROW((void)wire::decode_header(raw), std::runtime_error);
+  }
+  // A corrupt 1 GiB kFetch or kPfsDelta is refused outright.
+  for (const wire::MsgType type : {wire::MsgType::kFetch, wire::MsgType::kPfsDelta}) {
+    wire::encode_header(raw, type, 1, wire::kMaxPayloadBytes);
+    EXPECT_THROW((void)wire::decode_header(raw), std::runtime_error);
+  }
+  // The sender refuses what the receiver would reject.
+  wire::SendQueue queue;
+  EXPECT_THROW(queue.push(wire::MsgType::kFetch, 1, Bytes{0}), std::runtime_error);
+  EXPECT_THROW(queue.push(wire::MsgType::kPfsDelta, 1, Bytes(9)), std::runtime_error);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(Wire, TruncatedFillLeavesBytesQueuedAndLaterFillsDrainEveryFrame) {
+  // fill_from with a 4 KiB budget stops (kDone) while the socket still
+  // holds bytes; repeated calls must pick up exactly where it stopped and
+  // deliver every frame intact and in order.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, sv), 0);
+  std::vector<wire::Frame> sent;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    Bytes payload(24u << 10);
+    for (std::size_t b = 0; b < payload.size(); ++b) {
+      payload[b] = static_cast<std::uint8_t>(i * 131 + b * 7);
+    }
+    sent.push_back({{wire::MsgType::kHit, i, 0}, payload});
+    sent.push_back({{wire::MsgType::kPfsDelta, i, 0},
+                    wire::encode_pfs_delta({static_cast<std::int32_t>(i), 1})});
+    sent.push_back({{wire::MsgType::kFetch, 100 + i, 0}, {}});
+  }
+  wire::SendQueue queue;
+  for (const wire::Frame& frame : sent) {
+    queue.push(frame.header.type, frame.header.arg, frame.payload);
+  }
+  ASSERT_EQ(queue.flush(sv[0]), wire::IoStatus::kDone);
+
+  wire::FrameReader reader;
+  ASSERT_EQ(reader.fill_from(sv[1], 4096), wire::IoStatus::kDone);
+  int queued = 0;
+  ASSERT_EQ(::ioctl(sv[1], FIONREAD, &queued), 0);
+  EXPECT_GT(queued, 0);
+
+  std::vector<wire::Frame> got;
+  int truncated_fills = 1;
+  for (;;) {
+    while (reader.has_frame()) got.push_back(reader.pop_frame());
+    const wire::IoStatus status = reader.fill_from(sv[1], 4096);
+    if (status != wire::IoStatus::kDone) {
+      EXPECT_EQ(status, wire::IoStatus::kWouldBlock);
+      break;
+    }
+    ASSERT_LT(++truncated_fills, 1000);
+  }
+  while (reader.has_frame()) got.push_back(reader.pop_frame());
+  EXPECT_GT(truncated_fills, 1);
+  EXPECT_FALSE(reader.mid_frame());
+  ASSERT_EQ(got.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(got[i].header.type, sent[i].header.type) << i;
+    EXPECT_EQ(got[i].header.arg, sent[i].header.arg) << i;
+    EXPECT_EQ(got[i].payload, sent[i].payload) << i;
+  }
+  ::close(sv[0]);
+  ::close(sv[1]);
 }
 
 TEST(Wire, ReaderThrowsOnTruncation) {
@@ -95,6 +191,27 @@ TEST(Wire, RejectsRetiredUnaryContentionFrameType) {
   std::uint8_t raw[wire::kHeaderBytes];
   wire::encode_header(raw, static_cast<wire::MsgType>(11), 0, 0);
   EXPECT_THROW((void)wire::decode_header(raw), std::runtime_error);
+}
+
+TEST(SocketTransport, PickFreePortAvoidsTheEphemeralRange) {
+  // A port the kernel can hand out by itself (bind to port 0, a connect's
+  // source port) may be taken again before the rendezvous binds it; picked
+  // ports must lie outside that range and be bindable when returned.
+  std::uint32_t low = 32768;
+  std::uint32_t high = 60999;
+  std::ifstream("/proc/sys/net/ipv4/ip_local_port_range") >> low >> high;
+  for (int i = 0; i < 200; ++i) {
+    const std::uint16_t port = pick_free_port();
+    EXPECT_TRUE(port < low || port > high) << port;
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0) << port;
+    ::close(fd);
+  }
 }
 
 TEST(SocketTransport, RejectsInvalidOptions) {
@@ -208,49 +325,6 @@ TEST(SocketTransport, FetchSampleRoundTrip) {
   EXPECT_EQ(*hit, (Bytes{1, 2, 3}));
   const auto miss = endpoints[0]->fetch_sample(1, 7);
   EXPECT_FALSE(miss.has_value());
-}
-
-TEST(SocketTransport, MixedReactorBackendsInteroperateOnOneWorld) {
-  // The backend is a per-process choice, not a protocol revision: a world
-  // where rank 0 polls with epoll and rank 1 with io_uring must handshake
-  // and serve fetches both ways — the bytes on the wire are identical, and
-  // each side reports the backend it actually runs.
-  if (!io_uring_available()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-  const std::uint16_t port = pick_free_port();
-  std::vector<std::unique_ptr<SocketTransport>> endpoints(2);
-  std::vector<std::thread> threads;
-  for (int r = 0; r < 2; ++r) {
-    threads.emplace_back([&, r] {
-      SocketOptions options;
-      options.rank = r;
-      options.world_size = 2;
-      options.rendezvous_port = port;
-      options.timeout_s = 30.0;
-      options.reactor_backend =
-          r == 0 ? ReactorBackend::kEpoll : ReactorBackend::kIoUring;
-      endpoints[static_cast<std::size_t>(r)] =
-          std::make_unique<SocketTransport>(options);
-    });
-  }
-  for (auto& t : threads) t.join();
-  ASSERT_NE(endpoints[0], nullptr);
-  ASSERT_NE(endpoints[1], nullptr);
-  EXPECT_STREQ(endpoints[0]->reactor_backend(), "epoll");
-  EXPECT_STREQ(endpoints[1]->reactor_backend(), "io_uring");
-
-  for (int serving = 0; serving < 2; ++serving) {
-    endpoints[static_cast<std::size_t>(serving)]->set_serve_handler(
-        [serving](std::uint64_t id) -> std::optional<Bytes> {
-          return Bytes{static_cast<std::uint8_t>(serving),
-                       static_cast<std::uint8_t>(id)};
-        });
-    const auto bytes =
-        endpoints[static_cast<std::size_t>(1 - serving)]->fetch_sample(serving, 9);
-    ASSERT_TRUE(bytes.has_value());
-    EXPECT_EQ(*bytes, (Bytes{static_cast<std::uint8_t>(serving), 9}));
-  }
 }
 
 TEST(SocketTransport, FetchWithoutHandlerIsMiss) {

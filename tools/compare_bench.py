@@ -21,21 +21,13 @@ Key classification (schema 2: a flat ``results`` map of
   keys are measured at the epoll-reactor transport's operating points:
   ``socket-loopback.fetch_4k_per_s`` is 8 concurrent caller threads
   sharing one reactor connection (blocking fetch_sample, as loader
-  threads do), ``socket-loopback.fetch_4k_pipelined_epoll_per_s`` and
-  ``socket-loopback.fetch_4k_pipelined_io_uring_per_s`` are a single
-  caller keeping 64 kFetch requests in flight through the ticket API
-  (fetch_sample_start/fetch_sample_finish) — the request train the
-  reactor's scatter/gather send path is built for — measured once per
-  event-loop backend (DESIGN.md Sec. 7.6), and
+  threads do), ``socket-loopback.fetch_4k_pipelined_epoll_per_s`` is a
+  single caller keeping 64 kFetch requests in flight through the ticket
+  API (fetch_sample_start/fetch_sample_finish) — the request train the
+  reactor's scatter/gather send path is built for — and
   ``socket-loopback.fetch_1m_*`` stays a serial large-payload stream.
   ``reactor.posts_per_s`` is the reactor's cross-thread task-injection
-  rate (eventfd wake + FIFO queue handoff, epoll backend).
-
-  io_uring exception: a gated key containing ``io_uring`` that is present
-  in the baseline but MISSING from the current run is a notice, not a
-  failure — the bench only emits io_uring keys where the kernel grants
-  io_uring_setup, and runner kernels/seccomp policies vary.  (A PRESENT
-  io_uring key still gates normally.)
+  rate (eventfd wake + FIFO queue handoff).
   ``micro-critpath.critpath_edges_per_s`` is the critical-path engine's
   walk rate: attribute() passes (recorded + two what-if cost models)
   over the recorded micro-critpath dependence graph, edges visited per
@@ -134,15 +126,6 @@ def main():
     for key in sorted(set(baseline) | set(current)):
         gated = is_gated(key)
         if key not in current:
-            if gated and "io_uring" in key:
-                # The bench emits io_uring keys only where the kernel grants
-                # rings; a baseline recorded on an io_uring-capable runner
-                # must not fail runs on kernels that deny it.
-                print(
-                    f"{key:<{width}}  {baseline[key]:>12.4g}  {'-':>12}  "
-                    f"{'-':>7}  missing (io_uring unavailable; notice)"
-                )
-                continue
             verdict = "MISSING (fails)" if gated else "missing (advisory)"
             print(f"{key:<{width}}  {baseline[key]:>12.4g}  {'-':>12}  {'-':>7}  {verdict}")
             if gated:
