@@ -139,12 +139,11 @@ void BM_HolderTableLookup(benchmark::State& state) {
   util::Rng rng(7);
   for (std::uint64_t k = 0; k < f; ++k) {
     table.add(k, static_cast<int>(rng.uniform_below(64)), 0);
-    if (k % 2 == 0) table.mark_cached(k, table.first_owner(k));
+    if (k % 2 == 0) table.mark_cached_at(k, 0);
   }
   std::uint64_t k = 0;
-  int peer = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.best_remote_class(k % f, 3, &peer));
+    benchmark::DoNotOptimize(table.lookup(k % f, 3));
     k += 7919;
   }
 }

@@ -30,11 +30,13 @@ PerfModel::PerfModel(const tiers::SystemParams& params) : params_(params) {
 }
 
 double PerfModel::fetch_pfs_s(double mb, int gamma) const {
-  const double rate = pfs_client_mbps(gamma);
-  if (rate <= 0.0) return std::numeric_limits<double>::infinity();
+  return pfs_quote(gamma).seconds(mb);
+}
+
+PfsQuote PerfModel::pfs_quote(int gamma) const {
   // Bandwidth share plus the per-file metadata-op latency (0 when the
   // system has no op model configured).
-  return mb / rate + params_.pfs.op_latency_s(gamma);
+  return {pfs_client_mbps(gamma), params_.pfs.op_latency_s(gamma)};
 }
 
 double PerfModel::fetch_remote_s(double mb, int cls) const {

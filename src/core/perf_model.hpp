@@ -16,6 +16,7 @@
 // performance simulator (Sec. 6).
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,6 +38,19 @@ struct FetchChoice {
   double seconds = 0.0;    ///< modeled fetch time for the queried size
 };
 
+/// Case 0 priced at one gamma: the PFS terms that depend on gamma alone, so a
+/// caller pricing many reads at the same gamma pays the throughput-curve
+/// lookup once.  seconds() is the expression PerfModel::fetch_pfs_s uses.
+struct PfsQuote {
+  double client_mbps = 0.0;   ///< t(gamma)/gamma
+  double op_latency_s = 0.0;  ///< per-file metadata-op latency
+
+  [[nodiscard]] double seconds(double mb) const {
+    if (client_mbps <= 0.0) return std::numeric_limits<double>::infinity();
+    return mb / client_mbps + op_latency_s;
+  }
+};
+
 /// Evaluates the Sec. 4 equations for one system description.
 class PerfModel {
  public:
@@ -44,6 +58,10 @@ class PerfModel {
 
   /// Case 0: fetch `mb` from the PFS while `gamma` clients read in total.
   [[nodiscard]] double fetch_pfs_s(double mb, int gamma) const;
+
+  /// The gamma-dependent half of fetch_pfs_s: fetch_pfs_s(mb, gamma) ==
+  /// pfs_quote(gamma).seconds(mb), bit for bit.
+  [[nodiscard]] PfsQuote pfs_quote(int gamma) const;
 
   /// Case 1: fetch `mb` from remote storage class `cls` over the network.
   [[nodiscard]] double fetch_remote_s(double mb, int cls) const;

@@ -215,7 +215,9 @@ SimResult simulate(const SimConfig& config, const data::Dataset& dataset,
       }
       const int gamma = std::max(1, gamma_now);
 
-      // Phase 2: price the accesses through the pipeline recurrence.
+      // Phase 2: price the accesses through the pipeline recurrence.  gamma
+      // is fixed for the iteration, so the PFS is quoted once.
+      const core::PfsQuote pfs = model.pfs_quote(gamma);
       double iter_end = 0.0;
       for (int i = 0; i < n; ++i) {
         const auto count = counts[static_cast<std::size_t>(i)];
@@ -235,7 +237,7 @@ SimResult simulate(const SimConfig& config, const data::Dataset& dataset,
                 fetch_s = model.fetch_remote_s(mb, decision.storage_class);
                 break;
               case Location::kPfs:
-                fetch_s = model.fetch_pfs_s(mb, gamma);
+                fetch_s = pfs.seconds(mb);
                 break;
               default:
                 break;

@@ -45,68 +45,8 @@ void HolderTable::mark_all_cached() {
   }
 }
 
-void HolderTable::mark_sample_cached_all(data::SampleId sample) {
-  auto* row = &table_[sample * static_cast<std::uint64_t>(slots_)];
-  for (int k = 0; k < slots_; ++k) {
-    if (row[k] == kEmpty) return;
-    row[k] |= kCachedBit;
-  }
-}
-
 bool HolderTable::has_any(data::SampleId sample) const {
   return table_[sample * static_cast<std::uint64_t>(slots_)] != kEmpty;
-}
-
-bool HolderTable::any_cached(data::SampleId sample) const {
-  const auto* row = &table_[sample * static_cast<std::uint64_t>(slots_)];
-  for (int k = 0; k < slots_; ++k) {
-    if (row[k] == kEmpty) return false;
-    if (cached(row[k])) return true;
-  }
-  return false;
-}
-
-int HolderTable::first_owner(data::SampleId sample) const {
-  const std::uint32_t entry = table_[sample * static_cast<std::uint64_t>(slots_)];
-  if (entry == kEmpty) return -1;
-  return owner_of(entry);
-}
-
-int HolderTable::local_cached_class(data::SampleId sample, int worker) const {
-  const auto* row = &table_[sample * static_cast<std::uint64_t>(slots_)];
-  for (int k = 0; k < slots_; ++k) {
-    if (row[k] == kEmpty) return -1;
-    if (owner_of(row[k]) == worker) return cached(row[k]) ? class_of(row[k]) : -1;
-  }
-  return -1;
-}
-
-int HolderTable::planned_class(data::SampleId sample, int worker) const {
-  const auto* row = &table_[sample * static_cast<std::uint64_t>(slots_)];
-  for (int k = 0; k < slots_; ++k) {
-    if (row[k] == kEmpty) return -1;
-    if (owner_of(row[k]) == worker) return class_of(row[k]);
-  }
-  return -1;
-}
-
-int HolderTable::best_remote_class(data::SampleId sample, int self, int* peer) const {
-  const auto* row = &table_[sample * static_cast<std::uint64_t>(slots_)];
-  int best_class = -1;
-  int best_peer = -1;
-  for (int k = 0; k < slots_; ++k) {
-    if (row[k] == kEmpty) break;
-    if (!cached(row[k])) continue;
-    const int owner = owner_of(row[k]);
-    if (owner == self) continue;
-    const int cls = class_of(row[k]);
-    if (best_class == -1 || cls < best_class) {
-      best_class = cls;
-      best_peer = owner;
-    }
-  }
-  if (peer != nullptr) *peer = best_peer;
-  return best_class;
 }
 
 }  // namespace nopfs::sim

@@ -17,6 +17,15 @@
 
 namespace nopfs::sim {
 
+/// What one scan of a sample's holder row says to worker `self`.
+struct HolderLookup {
+  int self_class = -1;       ///< class of self's entry (planned or cached), -1: none
+  bool self_cached = false;  ///< self's entry is materialized
+  int self_slot = -1;        ///< slot of self's entry, for mark_cached_at()
+  int remote_class = -1;     ///< fastest cached copy on a worker != self, -1: none
+  int remote_peer = -1;      ///< that copy's holder; ties go to the first slot
+};
+
 class HolderTable {
  public:
   static constexpr int kMaxHolders = 16;
@@ -38,29 +47,24 @@ class HolderTable {
   /// Marks every registered holder entry cached (preloading policies).
   void mark_all_cached();
 
-  /// Marks every holder of `sample` cached (NoPFS first-materialization:
-  /// all planners' prefetchers obtain the sample once anyone has paid the
-  /// PFS read — the paper's "read from the PFS only once per run").
-  void mark_sample_cached_all(data::SampleId sample);
+  /// Marks the entry in `slot` of `sample`'s row cached; `slot` comes from
+  /// lookup(), so no second scan of the row is needed.
+  void mark_cached_at(data::SampleId sample, int slot) {
+    const std::uint64_t row = sample * static_cast<std::uint64_t>(slots_);
+    table_[row + static_cast<std::uint64_t>(slot)] |= kCachedBit;
+  }
+
+  /// Hints the CPU to load `sample`'s row ahead of a lookup() or add().
+  void prefetch(data::SampleId sample) const {
+    __builtin_prefetch(&table_[sample * static_cast<std::uint64_t>(slots_)]);
+  }
 
   /// True if any worker registered a (planned) copy of `sample`.
   [[nodiscard]] bool has_any(data::SampleId sample) const;
 
-  /// True if any worker holds a *cached* copy of `sample`.
-  [[nodiscard]] bool any_cached(data::SampleId sample) const;
-
-  /// First registered holder of `sample`, or -1.
-  [[nodiscard]] int first_owner(data::SampleId sample) const;
-
-  /// Storage class of `worker`'s *cached* copy, or -1.
-  [[nodiscard]] int local_cached_class(data::SampleId sample, int worker) const;
-
-  /// Storage class of `worker`'s *planned* copy (cached or not), or -1.
-  [[nodiscard]] int planned_class(data::SampleId sample, int worker) const;
-
-  /// Fastest cached copy on any worker != `self`: returns class or -1;
-  /// `peer` receives the holder's rank.
-  [[nodiscard]] int best_remote_class(data::SampleId sample, int self, int* peer) const;
+  /// The one read query: `self`'s own entry and the fastest cached copy on
+  /// any other worker, from a single scan of `sample`'s row.
+  [[nodiscard]] HolderLookup lookup(data::SampleId sample, int self) const;
 
   [[nodiscard]] std::uint64_t num_samples() const noexcept { return num_samples_; }
   [[nodiscard]] int slots_per_sample() const noexcept { return slots_; }
@@ -93,5 +97,24 @@ class HolderTable {
   std::uint64_t entries_ = 0;
   std::uint64_t dropped_ = 0;
 };
+
+// Inline: every simulated access of a caching policy runs it.
+inline HolderLookup HolderTable::lookup(data::SampleId sample, int self) const {
+  const std::uint32_t* row = &table_[sample * static_cast<std::uint64_t>(slots_)];
+  HolderLookup out;
+  for (int k = 0; k < slots_ && row[k] != kEmpty; ++k) {
+    const std::uint32_t entry = row[k];
+    const int cls = class_of(entry);
+    if (owner_of(entry) == self) {
+      out.self_class = cls;
+      out.self_cached = cached(entry);
+      out.self_slot = k;
+    } else if (cached(entry) && (out.remote_class < 0 || cls < out.remote_class)) {
+      out.remote_class = cls;
+      out.remote_peer = owner_of(entry);
+    }
+  }
+  return out;
+}
 
 }  // namespace nopfs::sim

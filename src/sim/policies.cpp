@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace nopfs::sim {
@@ -9,6 +10,10 @@ namespace nopfs::sim {
 namespace {
 
 constexpr std::uint16_t kNoOwner = 0xffff;
+
+/// How many samples ahead NoPFS prefetches holder rows when it walks a plan
+/// or a local batch (sample order is random, so hardware prefetch misses).
+constexpr std::size_t kPrefetchAhead = 8;
 
 /// Samples consumed per epoch (drop_last may skip a tail).
 std::uint64_t consumed_per_epoch(const SimContext& ctx) {
@@ -78,11 +83,9 @@ void FirstTouchPolicy::on_access_batch(const SimContext& ctx, int worker, int /*
 
 AccessDecision FirstTouchPolicy::decide(const SimContext& ctx, int worker,
                                         data::SampleId sample) {
-  const int local_cls = table_.local_cached_class(sample, worker);
-  if (local_cls >= 0) return {Location::kLocal, local_cls};
-  int peer = -1;
-  const int remote_cls = table_.best_remote_class(sample, worker, &peer);
-  if (remote_cls >= 0) return {Location::kRemote, remote_cls};
+  const HolderLookup row = table_.lookup(sample, worker);
+  if (row.self_cached) return {Location::kLocal, row.self_class};
+  if (row.remote_class >= 0) return {Location::kRemote, row.remote_class};
   // Miss: read from the PFS and cache it here if space remains (first touch).
   const double mb = ctx.dataset->size_mb(sample);
   const int cls = capacity_.try_cache(worker, mb);
@@ -189,8 +192,8 @@ data::SampleId ParallelStagingPolicy::remap(int worker, int /*epoch*/,
 }
 
 AccessDecision ParallelStagingPolicy::decide(int worker, data::SampleId sample) const {
-  const int cls = table_.local_cached_class(sample, worker);
-  if (cls >= 0) return {Location::kLocal, cls};
+  const HolderLookup row = table_.lookup(sample, worker);
+  if (row.self_cached) return {Location::kLocal, row.self_class};
   return {Location::kPfs, -1};  // only with a degenerate empty shard
 }
 
@@ -265,11 +268,9 @@ bool LbannPreloadPolicy::supported(const SimContext& ctx, std::string* why) cons
 }
 
 AccessDecision LbannPreloadPolicy::decide(int worker, data::SampleId sample) const {
-  const int local_cls = table_.local_cached_class(sample, worker);
-  if (local_cls >= 0) return {Location::kLocal, local_cls};
-  int peer = -1;
-  const int remote_cls = table_.best_remote_class(sample, worker, &peer);
-  if (remote_cls >= 0) return {Location::kRemote, remote_cls};
+  const HolderLookup row = table_.lookup(sample, worker);
+  if (row.self_cached) return {Location::kLocal, row.self_class};
+  if (row.remote_class >= 0) return {Location::kRemote, row.remote_class};
   return {Location::kPfs, -1};
 }
 
@@ -379,9 +380,21 @@ double NoPFSPolicy::setup(const SimContext& ctx) {
     }
   }
 
-  // Pass 2: exact per-worker access frequencies r_k.
+  // Pass 2: exact per-worker access frequencies r_k.  Samples are walked
+  // upward, so each worker's candidates arrive in ascending sample order;
+  // hist[w * stride + r] counts worker w's candidates read r times, r in
+  // [1, E].  Worker w reads ceil((consumed - w) / N) samples per epoch, so
+  // E times that (at most F) bounds its candidate count up front.
+  const auto stride = static_cast<std::size_t>(epochs) + 1;
+  std::vector<std::uint32_t> hist(static_cast<std::size_t>(n) * stride, 0);
   std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> candidates(
       static_cast<std::size_t>(n));
+  const auto workers = static_cast<std::uint64_t>(n);
+  for (std::uint64_t w = 0; w < workers; ++w) {
+    const std::uint64_t per_epoch = (consumed + workers - 1 - w) / workers;
+    const std::uint64_t bound = per_epoch * static_cast<std::uint64_t>(epochs);
+    candidates[w].reserve(std::min<std::uint64_t>(f, bound));
+  }
   for (data::SampleId k = 0; k < f; ++k) {
     const std::uint16_t* row = &owners[k * static_cast<std::uint64_t>(epochs)];
     for (int e = 0; e < epochs; ++e) {
@@ -400,73 +413,87 @@ double NoPFSPolicy::setup(const SimContext& ctx) {
         if (row[later] == owner) ++count;
       }
       candidates[owner].emplace_back(static_cast<std::uint32_t>(k), count);
+      ++hist[owner * stride + count];
     }
   }
   owners.clear();
   owners.shrink_to_fit();
 
-  // Pass 3: frequency-ordered greedy fill of the storage hierarchy.
+  // Pass 3: frequency-ordered greedy fill of the storage hierarchy, in
+  // (r_k descending, sample ascending) order.  A stable counting sort on
+  // r_k of the ascending candidate list yields exactly that order in
+  // linear time.
+  const std::vector<float>& sizes = ctx.dataset->sizes();
+  std::vector<std::uint32_t> order;
   for (int w = 0; w < n; ++w) {
     auto& cand = candidates[static_cast<std::size_t>(w)];
+    order.resize(cand.size());
     if (options_.frequency_aware) {
-      std::sort(cand.begin(), cand.end(), [](const auto& a, const auto& b) {
-        if (a.second != b.second) return a.second > b.second;
-        return a.first < b.first;
-      });
+      std::uint32_t* next = &hist[static_cast<std::size_t>(w) * stride];
+      std::uint32_t start = 0;
+      for (int r = epochs; r >= 1; --r) {
+        const std::uint32_t bucket = next[r];
+        next[r] = start;
+        start += bucket;
+      }
+      for (const auto& [sample32, count] : cand) order[next[count]++] = sample32;
     } else {
       util::Rng rng = util::Rng::for_stream(ctx.config->seed ^ 0x70f5ULL,
                                             static_cast<std::uint64_t>(w) + 1);
       util::fisher_yates_shuffle(
           std::span<std::pair<std::uint32_t, std::uint32_t>>(cand), rng);
+      std::transform(cand.begin(), cand.end(), order.begin(),
+                     [](const auto& c) { return c.first; });
     }
+    cand.clear();
+    cand.shrink_to_fit();
     std::size_t cls = 0;
     double used = 0.0;
-    for (const auto& [sample32, count] : cand) {
-      const auto k = static_cast<data::SampleId>(sample32);
-      const double mb = ctx.dataset->size_mb(k);
+    double planned = 0.0;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (i + kPrefetchAhead < order.size()) table_.prefetch(order[i + kPrefetchAhead]);
+      const auto k = static_cast<data::SampleId>(order[i]);
+      const double mb = sizes[k];
       while (cls < node.classes.size() && used + mb > node.classes[cls].capacity_mb) {
         ++cls;
         used = 0.0;
       }
       if (cls >= node.classes.size()) break;
       used += mb;
+      planned += mb;
       table_.add(k, w, static_cast<int>(cls));
-      planned_mb_[static_cast<std::size_t>(w)] += mb;
     }
-    cand.clear();
-    cand.shrink_to_fit();
+    planned_mb_[static_cast<std::size_t>(w)] = planned;
   }
   return 0.0;  // NoPFS needs no prestaging phase
 }
 
 AccessDecision NoPFSPolicy::on_access(const SimContext& ctx, int worker, int /*epoch*/,
                                       data::SampleId sample, int gamma) {
-  return decide(ctx, worker, sample, gamma);
+  return decide(ctx, worker, sample, ctx.model->pfs_quote(std::max(1, gamma)));
 }
 
 void NoPFSPolicy::on_access_batch(const SimContext& ctx, int worker, int /*epoch*/,
                                   std::span<const data::SampleId> samples, int gamma,
                                   std::span<AccessDecision> out) {
+  // gamma is fixed for the whole local batch: quote the PFS once.
+  const core::PfsQuote pfs = ctx.model->pfs_quote(std::max(1, gamma));
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    out[i] = decide(ctx, worker, samples[i], gamma);
+    if (i + kPrefetchAhead < samples.size()) table_.prefetch(samples[i + kPrefetchAhead]);
+    out[i] = decide(ctx, worker, samples[i], pfs);
   }
 }
 
 AccessDecision NoPFSPolicy::decide(const SimContext& ctx, int worker,
-                                   data::SampleId sample, int gamma) {
-  const int local_cls = table_.local_cached_class(sample, worker);
-  if (local_cls >= 0) return {Location::kLocal, local_cls};
+                                   data::SampleId sample, const core::PfsQuote& pfs) {
+  const HolderLookup row = table_.lookup(sample, worker);
+  if (row.self_cached) return {Location::kLocal, row.self_class};
 
-  const double mb = ctx.dataset->size_mb(sample);
-  const int planned_cls = table_.planned_class(sample, worker);
-  int peer = -1;
-  const int remote_cls =
-      options_.use_remote ? table_.best_remote_class(sample, worker, &peer) : -1;
-
+  const int remote_cls = options_.use_remote ? row.remote_class : -1;
   if (remote_cls < 0) {
     // Nobody has materialized this sample yet: its first read comes from
     // the PFS (exactly once per run when it is planned anywhere).
-    if (planned_cls >= 0) table_.mark_cached(sample, worker);
+    if (row.self_slot >= 0) table_.mark_cached_at(sample, row.self_slot);
     return {Location::kPfs, -1};
   }
 
@@ -476,16 +503,19 @@ AccessDecision NoPFSPolicy::decide(const SimContext& ctx, int worker,
   // share, the trainer drains at c.  Ahead -> the staging prefetcher finds
   // the sample locally; behind -> it fetches it (remote or PFS, by the
   // model) and caches it on the way through (Sec. 5.2.2 load smoothing).
-  if (planned_cls >= 0) {
-    const double pfs_s = ctx.model->fetch_pfs_s(mb, std::max(1, gamma));
+  const double mb = ctx.dataset->size_mb(sample);
+  const double pfs_s = pfs.seconds(mb);
+  if (row.self_slot >= 0) {
     const double pfs_mbps = pfs_s > 0.0 ? mb / pfs_s : 0.0;
     const bool prefetcher_ahead = pfs_mbps > ctx.config->system.node.compute_mbps;
-    table_.mark_cached(sample, worker);
-    if (prefetcher_ahead) return {Location::kLocal, planned_cls};
+    table_.mark_cached_at(sample, row.self_slot);
+    if (prefetcher_ahead) return {Location::kLocal, row.self_class};
   }
-  const core::FetchChoice choice =
-      ctx.model->choose_fetch(mb, -1, remote_cls, peer, std::max(1, gamma));
-  if (choice.source == core::FetchSource::kRemote) {
+  // PerfModel::choose_fetch(mb, -1, remote_cls, peer, gamma) with the PFS
+  // time already in hand: the remote copy wins unless the PFS is strictly
+  // faster (or the remote class has no bandwidth).
+  const double remote_s = ctx.model->fetch_remote_s(mb, remote_cls);
+  if (remote_s < std::numeric_limits<double>::infinity() && !(pfs_s < remote_s)) {
     return {Location::kRemote, remote_cls};
   }
   return {Location::kPfs, -1};

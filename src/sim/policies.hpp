@@ -254,8 +254,10 @@ class NoPFSPolicy final : public Policy {
   }
 
  private:
+  /// One access, with the PFS quoted at the caller's gamma (once per local
+  /// batch on the batched path, once per call on the per-sample path).
   [[nodiscard]] AccessDecision decide(const SimContext& ctx, int worker,
-                                      data::SampleId sample, int gamma);
+                                      data::SampleId sample, const core::PfsQuote& pfs);
 
   Options options_;
   HolderTable table_;

@@ -1,12 +1,18 @@
 #include "sim/sweep_service.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "net/transport.hpp"
@@ -19,9 +25,12 @@ namespace {
 
 namespace wire = net::wire;
 
-/// Checkpoint file leader: "NPSW" + format version.
+/// Checkpoint file leader: "NPSW" + format version.  Version 2 ends the
+/// file with an FNV-1a checksum over every byte before it.
 constexpr std::uint32_t kCheckpointMagic = 0x4E505357u;
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
+constexpr std::size_t kCheckpointLeaderBytes = 8;    // magic + version
+constexpr std::size_t kCheckpointChecksumBytes = 8;  // trailing FNV-1a
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
@@ -46,6 +55,44 @@ void fnv_f64(std::uint64_t& h, double v) {
 void fnv_string(std::uint64_t& h, const std::string& s) {
   fnv_u64(h, s.size());
   fnv_bytes(h, s.data(), s.size());
+}
+
+[[noreturn]] void checkpoint_error(const std::string& path, const std::string& what) {
+  throw std::runtime_error("sweep checkpoint " + path + ": " + what);
+}
+
+/// Writes `bytes` to `fd` in full, then fsyncs it; false on any failure.
+bool write_all_and_sync(int fd, const std::vector<std::uint8_t>& bytes) {
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    done += static_cast<std::size_t>(n);
+  }
+  return ::fsync(fd) == 0;
+}
+
+/// Replaces `path` with `bytes` so that a crash at any point leaves either
+/// the old file or the new one: write and fsync a temp file, rename it over
+/// `path`, then fsync the directory so the rename itself is durable.
+void replace_file_durably(const std::string& path,
+                          const std::vector<std::uint8_t>& bytes) {
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) checkpoint_error(path, "cannot write " + tmp);
+  const bool written = write_all_and_sync(fd, bytes);
+  if (::close(fd) != 0 || !written) checkpoint_error(path, "short write to " + tmp);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    checkpoint_error(path, "rename from " + tmp + " failed");
+  }
+  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
+  const std::string dir = parent.empty() ? std::string(".") : parent.string();
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0) checkpoint_error(path, "cannot open directory " + dir);
+  const bool synced = ::fsync(dir_fd) == 0;
+  ::close(dir_fd);
+  if (!synced) checkpoint_error(path, "fsync of directory " + dir + " failed");
 }
 
 }  // namespace
@@ -104,38 +151,43 @@ std::uint64_t SweepScheduler::load_checkpoint() {
   std::ifstream in(options_.checkpoint_path, std::ios::binary);
   if (!in) return 0;  // no checkpoint yet: fresh start
   const std::vector<std::uint8_t> raw(std::istreambuf_iterator<char>(in), {});
-  wire::Reader reader(raw);
-  if (reader.u32() != kCheckpointMagic) {
-    throw std::runtime_error("sweep checkpoint: bad magic in " +
-                             options_.checkpoint_path);
+  const std::string& path = options_.checkpoint_path;
+  if (raw.size() < kCheckpointLeaderBytes) checkpoint_error(path, "truncated file");
+  wire::Reader leader(raw.data(), kCheckpointLeaderBytes);
+  if (leader.u32() != kCheckpointMagic) checkpoint_error(path, "bad magic");
+  const std::uint32_t version = leader.u32();
+  if (version != kCheckpointVersion) {
+    checkpoint_error(path, "unsupported version " + std::to_string(version));
   }
-  if (reader.u32() != kCheckpointVersion) {
-    throw std::runtime_error("sweep checkpoint: unsupported version in " +
-                             options_.checkpoint_path);
+  if (raw.size() < kCheckpointLeaderBytes + kCheckpointChecksumBytes) {
+    checkpoint_error(path, "truncated file");
   }
+  const std::size_t body_end = raw.size() - kCheckpointChecksumBytes;
+  std::uint64_t checksum = kFnvOffset;
+  fnv_bytes(checksum, raw.data(), body_end);
+  wire::Reader trailer(raw.data() + body_end, kCheckpointChecksumBytes);
+  if (trailer.u64() != checksum) {
+    checkpoint_error(path, "checksum mismatch (truncated or corrupt file)");
+  }
+  wire::Reader reader(raw.data() + kCheckpointLeaderBytes,
+                      body_end - kCheckpointLeaderBytes);
   const std::uint64_t signature = reader.u64();
   const std::uint64_t total = reader.u64();
   if (signature != signature_ || total != total_) {
-    throw std::runtime_error(
-        "sweep checkpoint: " + options_.checkpoint_path +
-        " belongs to a different grid (signature/cell-count mismatch)");
+    checkpoint_error(path, "belongs to a different grid (signature/cell-count mismatch)");
   }
   const std::uint64_t count = reader.u64();
   const std::scoped_lock lock(mutex_);
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t idx = reader.u64();
-    if (idx >= total_) {
-      throw std::runtime_error("sweep checkpoint: cell index out of range");
-    }
+    if (idx >= total_) checkpoint_error(path, "cell index out of range");
     SimResult result = wire::read_sim_result(reader);
     if (completed_[idx] != 0) continue;  // defensive: duplicate record
     results_[idx] = std::move(result);
     completed_[idx] = 1;
     ++completed_count_;
   }
-  if (reader.remaining() != 0) {
-    throw std::runtime_error("sweep checkpoint: trailing bytes");
-  }
+  if (reader.remaining() != 0) checkpoint_error(path, "trailing bytes");
   restored_ = completed_count_;
   last_checkpoint_at_ = completed_count_;
   return restored_;
@@ -269,24 +321,12 @@ void SweepScheduler::checkpoint_locked() {
     wire::put_u64(out, idx);
     wire::put_sim_result(out, results_[idx]);
   }
-  // Atomic replace: a kill mid-write leaves the previous checkpoint (or
-  // none), never a torn file.
-  const std::string tmp = options_.checkpoint_path + ".tmp";
-  {
-    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    if (!file) {
-      throw std::runtime_error("sweep checkpoint: cannot write " + tmp);
-    }
-    file.write(reinterpret_cast<const char*>(out.data()),
-               static_cast<std::streamsize>(out.size()));
-    if (!file) {
-      throw std::runtime_error("sweep checkpoint: short write to " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), options_.checkpoint_path.c_str()) != 0) {
-    throw std::runtime_error("sweep checkpoint: rename to " +
-                             options_.checkpoint_path + " failed");
-  }
+  std::uint64_t checksum = kFnvOffset;
+  fnv_bytes(checksum, out.data(), out.size());
+  wire::put_u64(out, checksum);
+  // A kill mid-write leaves the previous checkpoint (or none), never a torn
+  // file; a torn one from a crash below the filesystem fails the checksum.
+  replace_file_durably(options_.checkpoint_path, out);
   last_checkpoint_at_ = completed_count_;
 }
 

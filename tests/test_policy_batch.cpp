@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sim/engine.hpp"
 #include "sim/policies.hpp"
 #include "sim_result_testutil.hpp"
@@ -26,22 +32,42 @@ data::Dataset small_dataset(std::uint64_t f = 2048, float mb = 0.1f) {
   return data::Dataset("batch-test", std::vector<float>(f, mb));
 }
 
-TEST(PolicyBatch, BatchedMatchesPerSampleForEveryPolicy) {
-  const data::Dataset dataset = small_dataset();
+using PolicyFactory = std::function<std::unique_ptr<Policy>()>;
+
+/// Every registered policy plus the NoPFS ablation variants, each as a
+/// label and a factory (a parity run needs two fresh instances).
+std::vector<std::pair<std::string, PolicyFactory>> parity_inputs() {
+  std::vector<std::pair<std::string, PolicyFactory>> inputs;
   for (const std::string& name : all_policy_names()) {
-    SimConfig batched_config = small_config();
-    SimConfig per_sample_config = batched_config;
+    inputs.emplace_back(name, [name] { return make_policy(name); });
+  }
+  inputs.emplace_back("nopfs use_remote=false", [] {
+    return std::make_unique<NoPFSPolicy>(NoPFSPolicy::Options{.use_remote = false});
+  });
+  inputs.emplace_back("nopfs frequency_aware=false", [] {
+    return std::make_unique<NoPFSPolicy>(NoPFSPolicy::Options{.frequency_aware = false});
+  });
+  return inputs;
+}
+
+void expect_batch_parity(const SimConfig& config, const data::Dataset& dataset) {
+  for (const auto& [label, make] : parity_inputs()) {
+    SimConfig per_sample_config = config;
     per_sample_config.force_per_sample_dispatch = true;
 
-    auto batched_policy = make_policy(name);
-    auto per_sample_policy = make_policy(name);
-    const SimResult batched = simulate(batched_config, dataset, *batched_policy);
+    auto batched_policy = make();
+    auto per_sample_policy = make();
+    const SimResult batched = simulate(config, dataset, *batched_policy);
     const SimResult per_sample =
         simulate(per_sample_config, dataset, *per_sample_policy);
 
-    SCOPED_TRACE("policy: " + name);
+    SCOPED_TRACE("policy: " + label);
     expect_results_identical(batched, per_sample);
   }
+}
+
+TEST(PolicyBatch, BatchedMatchesPerSampleForEveryPolicy) {
+  expect_batch_parity(small_config(), small_dataset());
 }
 
 TEST(PolicyBatch, ParityHoldsWithVariedSampleSizesAndWorkers) {
@@ -53,20 +79,7 @@ TEST(PolicyBatch, ParityHoldsWithVariedSampleSizesAndWorkers) {
     sizes.push_back(0.01f + 0.25f * static_cast<float>(i % 7));
   }
   const data::Dataset dataset("batch-test-varied", std::move(sizes));
-  for (const std::string& name : all_policy_names()) {
-    SimConfig batched_config = small_config(/*workers=*/8, /*epochs=*/4);
-    SimConfig per_sample_config = batched_config;
-    per_sample_config.force_per_sample_dispatch = true;
-
-    auto batched_policy = make_policy(name);
-    auto per_sample_policy = make_policy(name);
-    const SimResult batched = simulate(batched_config, dataset, *batched_policy);
-    const SimResult per_sample =
-        simulate(per_sample_config, dataset, *per_sample_policy);
-
-    SCOPED_TRACE("policy: " + name);
-    expect_results_identical(batched, per_sample);
-  }
+  expect_batch_parity(small_config(/*workers=*/8, /*epochs=*/4), dataset);
 }
 
 TEST(PolicyBatch, DefaultBatchFallbackLoopsOnAccess) {

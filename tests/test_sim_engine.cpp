@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <numeric>
 
 #include "sim/engine.hpp"
 #include "sim/policies.hpp"
 #include "tiers/params.hpp"
+#include "util/rng.hpp"
 
 namespace nopfs::sim {
 namespace {
@@ -30,23 +33,25 @@ TEST(HolderTable, AddQueryMark) {
   EXPECT_TRUE(table.add(3, /*worker=*/1, /*class=*/0));
   EXPECT_FALSE(table.add(3, 1, 0));  // duplicate worker
   EXPECT_TRUE(table.add(3, 2, 1));
-  EXPECT_EQ(table.planned_class(3, 1), 0);
-  EXPECT_EQ(table.planned_class(3, 2), 1);
-  EXPECT_EQ(table.planned_class(3, 0), -1);
-  EXPECT_EQ(table.local_cached_class(3, 1), -1);  // not cached yet
+  EXPECT_EQ(table.lookup(3, 1).self_class, 0);
+  EXPECT_EQ(table.lookup(3, 2).self_class, 1);
+  EXPECT_EQ(table.lookup(3, 0).self_class, -1);
+  EXPECT_EQ(table.lookup(3, 0).self_slot, -1);
+  EXPECT_FALSE(table.lookup(3, 1).self_cached);  // not cached yet
   table.mark_cached(3, 1);
-  EXPECT_EQ(table.local_cached_class(3, 1), 0);
-  int peer = -1;
-  EXPECT_EQ(table.best_remote_class(3, /*self=*/0, &peer), 0);
-  EXPECT_EQ(peer, 1);
-  EXPECT_EQ(table.best_remote_class(3, /*self=*/1, &peer), -1);  // 2 uncached
-  table.mark_cached(3, 2);
-  EXPECT_EQ(table.best_remote_class(3, 1, &peer), 1);
-  EXPECT_EQ(peer, 2);
+  EXPECT_TRUE(table.lookup(3, 1).self_cached);
+  HolderLookup row = table.lookup(3, /*self=*/0);
+  EXPECT_EQ(row.remote_class, 0);
+  EXPECT_EQ(row.remote_peer, 1);
+  row = table.lookup(3, /*self=*/1);
+  EXPECT_EQ(row.remote_class, -1);  // 2 uncached
+  EXPECT_EQ(row.remote_peer, -1);
+  table.mark_cached_at(3, table.lookup(3, 2).self_slot);
+  row = table.lookup(3, 1);
+  EXPECT_EQ(row.remote_class, 1);
+  EXPECT_EQ(row.remote_peer, 2);
   EXPECT_TRUE(table.has_any(3));
   EXPECT_FALSE(table.has_any(4));
-  EXPECT_EQ(table.first_owner(3), 1);
-  EXPECT_EQ(table.first_owner(4), -1);
 }
 
 TEST(HolderTable, SlotOverflowDropsNotCrashes) {
@@ -56,17 +61,90 @@ TEST(HolderTable, SlotOverflowDropsNotCrashes) {
   EXPECT_FALSE(table.add(0, 2, 0));  // slots full
   EXPECT_EQ(table.dropped_entries(), 1u);
   EXPECT_EQ(table.total_entries(), 2u);
+  EXPECT_EQ(table.lookup(0, 2).self_slot, -1);
 }
 
-TEST(HolderTable, MarkSampleCachedAll) {
-  HolderTable table(4, 3);
-  table.add(1, 0, 0);
-  table.add(1, 2, 1);
-  EXPECT_FALSE(table.any_cached(1));
-  table.mark_sample_cached_all(1);
-  EXPECT_TRUE(table.any_cached(1));
-  EXPECT_EQ(table.local_cached_class(1, 0), 0);
-  EXPECT_EQ(table.local_cached_class(1, 2), 1);
+TEST(HolderTable, LookupTiesGoToFirstSlot) {
+  HolderTable table(1, 4);
+  table.add(0, 5, 1);
+  table.add(0, 3, 1);
+  table.add(0, 7, 0);
+  table.add(0, 9, 0);  // the row is now full
+  table.mark_all_cached();
+  HolderLookup row = table.lookup(0, 9);  // self in the last slot
+  EXPECT_EQ(row.self_slot, 3);
+  EXPECT_TRUE(row.self_cached);
+  EXPECT_EQ(row.remote_class, 0);
+  EXPECT_EQ(row.remote_peer, 7);
+  row = table.lookup(0, 7);  // class 0 tie broken by slot order
+  EXPECT_EQ(row.remote_class, 0);
+  EXPECT_EQ(row.remote_peer, 9);
+  row = table.lookup(0, 1);  // not a holder
+  EXPECT_EQ(row.self_slot, -1);
+  EXPECT_EQ(row.remote_peer, 7);
+}
+
+/// A holder entry as the brute-force reference below keeps it.
+struct RefEntry {
+  int worker;
+  int cls;
+  bool cached;
+};
+
+TEST(HolderTable, LookupMatchesBruteForceReference) {
+  // Randomized rows (including full ones and entries add() rejects) with
+  // few workers and classes, so self entries, cached and uncached copies
+  // and class ties all occur; every (sample, self) lookup must match a
+  // plain scan of a shadow copy of the row.
+  util::Rng rng(2024);
+  for (const int slots : {1, 2, 3, 8, HolderTable::kMaxHolders}) {
+    SCOPED_TRACE(testing::Message() << "slots " << slots);
+    const std::uint64_t f = 300;
+    HolderTable table(f, slots);
+    std::vector<std::vector<RefEntry>> shadow(f);
+    for (std::uint64_t k = 0; k < f; ++k) {
+      const auto adds = rng.uniform_below(static_cast<std::uint64_t>(slots) + 3);
+      for (std::uint64_t a = 0; a < adds; ++a) {
+        const int worker = static_cast<int>(rng.uniform_below(6));
+        const int cls = static_cast<int>(rng.uniform_below(3));
+        const auto is_worker = [&](const RefEntry& e) { return e.worker == worker; };
+        const bool known = std::any_of(shadow[k].begin(), shadow[k].end(), is_worker);
+        const bool fits = shadow[k].size() < static_cast<std::size_t>(slots);
+        EXPECT_EQ(table.add(k, worker, cls), !known && fits);
+        if (!known && fits) shadow[k].push_back({worker, cls, false});
+      }
+      for (std::size_t slot = 0; slot < shadow[k].size(); ++slot) {
+        if (rng.bernoulli(0.5)) {
+          table.mark_cached_at(k, static_cast<int>(slot));
+          shadow[k][slot].cached = true;
+        }
+      }
+    }
+    for (std::uint64_t k = 0; k < f; ++k) {
+      const auto& row = shadow[k];
+      for (int self = 0; self < 7; ++self) {
+        SCOPED_TRACE(testing::Message() << "sample " << k << " self " << self);
+        const auto is_self = [&](const RefEntry& e) { return e.worker == self; };
+        const auto is_peer_copy = [&](const RefEntry& e) {
+          return e.cached && e.worker != self;
+        };
+        const auto faster = [](const RefEntry& a, const RefEntry& b) {
+          return a.cls < b.cls;
+        };
+        const auto mine = std::find_if(row.begin(), row.end(), is_self);
+        std::vector<RefEntry> peers;
+        std::copy_if(row.begin(), row.end(), std::back_inserter(peers), is_peer_copy);
+        const auto best = std::min_element(peers.begin(), peers.end(), faster);
+
+        const HolderLookup got = table.lookup(k, self);
+        EXPECT_EQ(got.self_slot, mine == row.end() ? -1 : mine - row.begin());
+        EXPECT_EQ(got.self_class, mine == row.end() ? -1 : mine->cls);
+        EXPECT_EQ(got.self_cached, mine != row.end() && mine->cached);
+        EXPECT_EQ(got.remote_class, best == peers.end() ? -1 : best->cls);
+        EXPECT_EQ(got.remote_peer, best == peers.end() ? -1 : best->worker);
+      }
+    }
+  }
 }
 
 TEST(Engine, PerfectPolicyIsComputeBound) {

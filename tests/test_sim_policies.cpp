@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <string>
+#include <utility>
+
 #include "sim/engine.hpp"
 #include "sim/policies.hpp"
+#include "sim_result_testutil.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace nopfs::sim {
@@ -172,6 +179,142 @@ TEST(Policies, NoPFSAblationRemoteOff) {
   EXPECT_EQ(b.location_count[static_cast<int>(Location::kRemote)], 0u);
   // Losing remote fetches costs time (PFS contention instead).
   EXPECT_LE(a.total_s, b.total_s * 1.001);
+}
+
+/// NoPFS written the direct way, as the reference for NoPFSPolicy's fast
+/// paths: the plan is ordered by std::sort on (accesses desc, sample asc),
+/// each sample's holders live in a plain vector scanned in full, and the
+/// PFS is priced by PerfModel::fetch_pfs_s / choose_fetch on every access.
+class ReferenceNoPFS final : public Policy {
+ public:
+  [[nodiscard]] std::string name() const override { return "NoPFS"; }
+
+  double setup(const SimContext& ctx) override {
+    const int n = ctx.config->system.num_workers;
+    const int epochs = ctx.config->num_epochs;
+    const auto f = ctx.dataset->num_samples();
+    const auto& stream = ctx.gen->config();
+    const std::uint64_t per_epoch = stream.iterations_per_epoch() * stream.global_batch;
+    const std::uint64_t consumed = std::min<std::uint64_t>(f, per_epoch);
+    std::vector<std::vector<int>> readers(f);  // reader of each sample per epoch
+    for (int e = 0; e < epochs; ++e) {
+      const std::vector<data::SampleId> order = ctx.gen->epoch_order(e);
+      for (std::uint64_t pos = 0; pos < consumed; ++pos) {
+        const auto reader = static_cast<int>(pos % static_cast<std::uint64_t>(n));
+        readers[order[pos]].push_back(reader);
+      }
+    }
+    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> candidates(
+        static_cast<std::size_t>(n));
+    for (data::SampleId k = 0; k < f; ++k) {
+      for (int w = 0; w < n; ++w) {
+        const auto count = std::count(readers[k].begin(), readers[k].end(), w);
+        if (count > 0) {
+          candidates[static_cast<std::size_t>(w)].emplace_back(
+              static_cast<std::uint32_t>(k), static_cast<std::uint32_t>(count));
+        }
+      }
+    }
+    holders_.assign(f, {});
+    planned_mb_.assign(static_cast<std::size_t>(n), 0.0);
+    const auto& classes = ctx.config->system.node.classes;
+    for (int w = 0; w < n; ++w) {
+      auto& cand = candidates[static_cast<std::size_t>(w)];
+      std::sort(cand.begin(), cand.end(), [](const auto& a, const auto& b) {
+        if (a.second != b.second) return a.second > b.second;
+        return a.first < b.first;
+      });
+      std::size_t cls = 0;
+      double used = 0.0;
+      std::size_t planned = 0;
+      for (const auto& [k, count] : cand) {
+        const double mb = ctx.dataset->size_mb(k);
+        while (cls < classes.size() && used + mb > classes[cls].capacity_mb) {
+          ++cls;
+          used = 0.0;
+        }
+        if (cls >= classes.size()) break;
+        used += mb;
+        holders_[k].push_back({w, static_cast<int>(cls), false});
+        planned_mb_[static_cast<std::size_t>(w)] += mb;
+        ++planned;
+      }
+      cut_mid_list_ = cut_mid_list_ && planned > 0 && planned < cand.size();
+    }
+    return 0.0;
+  }
+
+  [[nodiscard]] AccessDecision on_access(const SimContext& ctx, int worker, int /*epoch*/,
+                                         data::SampleId sample, int gamma) override {
+    auto& row = holders_[sample];
+    const auto is_self = [&](const Holder& h) { return h.worker == worker; };
+    const auto is_peer_copy = [&](const Holder& h) { return h.cached && !is_self(h); };
+    const auto faster = [](const Holder& a, const Holder& b) { return a.cls < b.cls; };
+    const auto self = std::find_if(row.begin(), row.end(), is_self);
+    if (self != row.end() && self->cached) return {Location::kLocal, self->cls};
+    std::vector<Holder> peers;
+    std::copy_if(row.begin(), row.end(), std::back_inserter(peers), is_peer_copy);
+    const auto best = std::min_element(peers.begin(), peers.end(), faster);
+    if (best == peers.end()) {
+      if (self != row.end()) self->cached = true;
+      return {Location::kPfs, -1};
+    }
+    const double mb = ctx.dataset->size_mb(sample);
+    if (self != row.end()) {
+      const double pfs_s = ctx.model->fetch_pfs_s(mb, std::max(1, gamma));
+      const double pfs_mbps = pfs_s > 0.0 ? mb / pfs_s : 0.0;
+      self->cached = true;
+      const bool prefetcher_ahead = pfs_mbps > ctx.config->system.node.compute_mbps;
+      if (prefetcher_ahead) return {Location::kLocal, self->cls};
+    }
+    const core::FetchChoice choice =
+        ctx.model->choose_fetch(mb, -1, best->cls, best->worker, std::max(1, gamma));
+    if (choice.source != core::FetchSource::kRemote) return {Location::kPfs, -1};
+    return {Location::kRemote, best->cls};
+  }
+
+  [[nodiscard]] const std::vector<double>& planned_mb() const { return planned_mb_; }
+  /// True when every worker's plan stopped at capacity partway through its
+  /// candidate list (so the plan order decides what is cached).
+  [[nodiscard]] bool cut_mid_list() const { return cut_mid_list_; }
+
+ private:
+  struct Holder {
+    int worker;
+    int cls;
+    bool cached;
+  };
+  std::vector<std::vector<Holder>> holders_;
+  std::vector<double> planned_mb_;
+  bool cut_mid_list_ = true;
+};
+
+TEST(Policies, NoPFSMatchesSortedPlanReference) {
+  // Two classes (RAM 20 MB, SSD 60 MB) against varied sizes: each worker's
+  // plan is cut by capacity mid-list, so the plan order (accesses desc,
+  // sample asc), the class spill and the per-access source choice all show
+  // in planned_mb() and the SimResult.  A 40 MB/s network sits inside the
+  // per-client PFS rate's range, so remote-vs-PFS flips with gamma.
+  util::Rng rng(31);
+  std::vector<float> sizes(2500);
+  for (float& mb : sizes) mb = static_cast<float>(0.02 + 0.5 * rng.uniform01());
+  const data::Dataset dataset("varied", std::move(sizes));
+  const std::pair<int, double> cases[] = {{3, 0.0}, {6, 0.0}, {4, 40.0}};  // 0: default
+  for (const auto& [epochs, network_mbps] : cases) {
+    SCOPED_TRACE(testing::Message() << "epochs " << epochs << " net " << network_mbps);
+    SimConfig config = tight_config(/*workers=*/5, epochs);
+    config.system.pfs.op_rate_per_s = 4000.0;  // price the metadata-op term too
+    if (network_mbps > 0.0) config.system.node.network_mbps = network_mbps;
+    NoPFSPolicy policy;
+    ReferenceNoPFS reference;
+    const SimResult got = simulate(config, dataset, policy);
+    const SimResult want = simulate(config, dataset, reference);
+    ASSERT_TRUE(reference.cut_mid_list());
+    EXPECT_EQ(policy.planned_mb(), reference.planned_mb());
+    expect_results_identical(got, want);
+    EXPECT_GT(got.location_count[static_cast<int>(Location::kRemote)], 0u);
+    EXPECT_GT(got.location_count[static_cast<int>(Location::kLocal)], 0u);
+  }
 }
 
 TEST(Policies, CapacityTrackerSpillsAcrossClasses) {

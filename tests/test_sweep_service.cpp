@@ -13,6 +13,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -282,6 +284,68 @@ TEST(SweepCheckpoint, RejectsForeignGridAndStartsFreshWhenMissing) {
   EXPECT_THROW((void)other_signature.load_checkpoint(), std::runtime_error);
   SweepScheduler other_total(11, 0xABCDu, options, 1);
   EXPECT_THROW((void)other_total.load_checkpoint(), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+std::vector<char> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void write_file(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Loading `options.checkpoint_path` must fail with an error that names the
+/// file and contains `why`.
+void expect_load_rejects(const SweepServiceOptions& options, const std::string& why) {
+  SweepScheduler reader(10, 0xABCDu, options, 1);
+  try {
+    (void)reader.load_checkpoint();
+    ADD_FAILURE() << "checkpoint accepted; expected: " << why;
+  } catch (const std::runtime_error& ex) {
+    const std::string what = ex.what();
+    EXPECT_NE(what.find(options.checkpoint_path), std::string::npos) << what;
+    EXPECT_NE(what.find(why), std::string::npos) << what;
+  }
+  EXPECT_EQ(reader.completed_cells(), 0u);
+}
+
+TEST(SweepCheckpoint, RejectsTruncatedCorruptAndOldVersionFiles) {
+  const std::string path = temp_checkpoint("corrupt");
+  std::remove(path.c_str());
+  SweepServiceOptions options;
+  options.checkpoint_path = path;
+  SweepScheduler writer(10, 0xABCDu, options, 1);
+  writer.submit(2, {cell_result(2), cell_result(3)});
+  writer.checkpoint_now();
+  const std::vector<char> good = read_file(path);
+  ASSERT_GT(good.size(), 64u);
+
+  // Every cut, from an empty file to one byte short, is reported as such.
+  for (std::size_t keep = 0; keep < good.size(); ++keep) {
+    SCOPED_TRACE("kept " + std::to_string(keep) + " bytes");
+    write_file(path, std::vector<char>(good.begin(), good.begin() + keep));
+    expect_load_rejects(options, "truncated");
+  }
+  // One flipped bit anywhere past the leader fails the checksum.
+  for (const std::size_t at : {std::size_t{8}, good.size() / 2, good.size() - 1}) {
+    SCOPED_TRACE("flipped byte " + std::to_string(at));
+    std::vector<char> bad = good;
+    bad[at] = static_cast<char>(bad[at] ^ 0x10);
+    write_file(path, bad);
+    expect_load_rejects(options, "checksum mismatch");
+  }
+  // A version-1 file (same records, no checksum) is refused by version.
+  std::vector<char> v1(good.begin(), good.end() - 8);
+  v1[4] = 1;
+  write_file(path, v1);
+  expect_load_rejects(options, "unsupported version 1");
+
+  write_file(path, good);  // the intact file still loads
+  SweepScheduler reader(10, 0xABCDu, options, 1);
+  EXPECT_EQ(reader.load_checkpoint(), 2u);
   std::remove(path.c_str());
 }
 
