@@ -212,8 +212,9 @@ std::pair<double, double> socket_fetch_throughput(std::size_t sample_bytes,
       options.timeout_s = 30.0;
       server = std::make_unique<net::SocketTransport>(options);
       server->set_serve_handler(
-          [sample_bytes](std::uint64_t id) -> std::optional<net::Bytes> {
-            return net::Bytes(sample_bytes, static_cast<std::uint8_t>(id));
+          [sample_bytes](std::uint64_t id) {
+            return std::make_shared<const net::Bytes>(sample_bytes,
+                                                      static_cast<std::uint8_t>(id));
           });
       server->barrier();  // handler installed
       server->barrier();  // client done fetching
@@ -279,8 +280,9 @@ double socket_fetch_pipelined_throughput(std::size_t sample_bytes, int fetches,
       options.timeout_s = 30.0;
       server = std::make_unique<net::SocketTransport>(options);
       server->set_serve_handler(
-          [sample_bytes](std::uint64_t id) -> std::optional<net::Bytes> {
-            return net::Bytes(sample_bytes, static_cast<std::uint8_t>(id));
+          [sample_bytes](std::uint64_t id) {
+            return std::make_shared<const net::Bytes>(sample_bytes,
+                                                      static_cast<std::uint8_t>(id));
           });
       server->barrier();  // handler installed
       server->barrier();  // client done fetching

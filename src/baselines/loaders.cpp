@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -327,14 +328,18 @@ class ShardedLoader final : public Loader {
     ++position_;
     const double mb = ctx_.dataset->size_mb(id);
     const double begin = now_s();
-    auto bytes = backend_->load(id);
+    const auto bytes = backend_->share(id);
+    if (bytes == nullptr) {
+      throw std::runtime_error("Sharded: sample " + std::to_string(id) +
+                               " is missing from the prestaged shard");
+    }
     if (ctx_.devices != nullptr && !ctx_.devices->tiers.empty()) {
       ctx_.devices->tiers.front()->read(mb);
     }
     charge_preprocess_and_stage(ctx_, mb);
     stats_.add_stall(now_s() - begin);
     stats_.count_local(mb);
-    return LoadedSample(id, std::move(bytes.value()));
+    return LoadedSample(id, *bytes);
   }
 
   [[nodiscard]] core::JobStats stats() const override {
@@ -409,9 +414,9 @@ class LbannLoader final : public Loader {
       core::MemoryBackend* backend = backend_.get();
       const LoaderContext ctx = ctx_;
       ctx_.transport->set_serve_handler(
-          [backend, ctx](std::uint64_t id) -> std::optional<net::Bytes> {
-            auto bytes = backend->load(id);
-            if (bytes.has_value() && ctx.devices != nullptr &&
+          [backend, ctx](std::uint64_t id) {
+            auto bytes = backend->share(id);
+            if (bytes != nullptr && ctx.devices != nullptr &&
                 !ctx.devices->tiers.empty()) {
               ctx.devices->tiers.front()->read(
                   util::bytes_to_mb(bytes->size()));
@@ -445,13 +450,13 @@ class LbannLoader final : public Loader {
     const data::SampleId id = stream_[pos];
     const double mb = ctx_.dataset->size_mb(id);
     // Local cache hit.
-    if (auto cached = backend_->load(id); cached.has_value()) {
+    if (const auto cached = backend_->share(id); cached != nullptr) {
       if (ctx_.devices != nullptr && !ctx_.devices->tiers.empty()) {
         ctx_.devices->tiers.front()->read(mb);
       }
       charge_preprocess_and_stage(ctx_, mb);
       stats_.count_local(mb);
-      return std::move(*cached);
+      return *cached;
     }
     // After epoch 0, the owner has it: fetch remotely.
     const std::uint32_t owner = owners_[id];

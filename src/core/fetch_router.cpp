@@ -1,7 +1,8 @@
 #include "core/fetch_router.hpp"
 
-#include <algorithm>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "util/log.hpp"
 #include "util/units.hpp"
@@ -68,16 +69,19 @@ std::uint64_t FetchRouter::class_progress(int cls) const {
   return progress_.at(static_cast<std::size_t>(cls)).load(std::memory_order_relaxed);
 }
 
-std::optional<Bytes> FetchRouter::load_local(data::SampleId sample) {
-  const auto cls = metadata_.find(sample);
-  if (!cls.has_value()) return std::nullopt;
-  auto bytes = backends_.at(static_cast<std::size_t>(*cls))->load(sample);
-  if (!bytes.has_value()) return std::nullopt;
-  if (devices_ != nullptr) {
-    devices_->tiers.at(static_cast<std::size_t>(*cls))
-        ->read(static_cast<double>(bytes->size()) / (1024.0 * 1024.0));
+std::shared_ptr<const Bytes> FetchRouter::share_from(int cls, data::SampleId sample) {
+  auto bytes = backends_.at(static_cast<std::size_t>(cls))->share(sample);
+  if (bytes != nullptr && devices_ != nullptr) {
+    devices_->tiers.at(static_cast<std::size_t>(cls))
+        ->read(util::bytes_to_mb(bytes->size()));
   }
   return bytes;
+}
+
+std::shared_ptr<const Bytes> FetchRouter::load_local(data::SampleId sample) {
+  const auto cls = metadata_.find(sample);
+  if (!cls.has_value()) return nullptr;
+  return share_from(*cls, sample);
 }
 
 bool FetchRouter::try_claim(data::SampleId sample) {
@@ -86,10 +90,11 @@ bool FetchRouter::try_claim(data::SampleId sample) {
   return inflight_.insert(sample).second;
 }
 
-void FetchRouter::finish_claim(data::SampleId sample, const Bytes& bytes) {
+void FetchRouter::finish_claim(data::SampleId sample,
+                               std::span<const std::uint8_t> bytes) {
   const auto planned = self_plan_.find(sample);
   if (planned.has_value()) {
-    const double mb = static_cast<double>(bytes.size()) / (1024.0 * 1024.0);
+    const double mb = util::bytes_to_mb(bytes.size());
     auto& backend = backends_.at(static_cast<std::size_t>(*planned));
     if (backend->store(sample, bytes)) {
       if (devices_ != nullptr) {
@@ -117,8 +122,8 @@ void FetchRouter::wait_if_inflight(data::SampleId sample) {
   util::log_trace("rank ", rank_, ": in-flight wait done for sample ", sample);
 }
 
-std::optional<Bytes> FetchRouter::fetch_remote(data::SampleId sample, double size_mb,
-                                               std::size_t expected_bytes) {
+bool FetchRouter::fetch_remote(data::SampleId sample, double size_mb,
+                               std::span<std::uint8_t> out) {
   int remote_cls = -1;
   int remote_peer = -1;
   if (options_.use_remote && transport_ != nullptr && transport_->world_size() > 1) {
@@ -140,19 +145,18 @@ std::optional<Bytes> FetchRouter::fetch_remote(data::SampleId sample, double siz
   const int gamma = model_.params().num_workers;
   const FetchChoice choice =
       model_.choose_fetch(size_mb, /*local=*/-1, remote_cls, remote_peer, gamma);
-  if (choice.source != FetchSource::kRemote) return std::nullopt;
+  if (choice.source != FetchSource::kRemote) return false;
 
-  auto bytes = transport_->fetch_sample(choice.peer, sample);
   // A payload of the wrong length is never delivered in part: it counts
   // as a miss like an absent one.
-  if (bytes.has_value() && bytes->size() == expected_bytes) {
+  if (transport_->fetch_sample_into(choice.peer, sample, out)) {
     ++stats_.remote_fetches;
     stats_.add_mb(stats_.remote_mb, size_mb);
-    return bytes;
+    return true;
   }
   // Heuristic false positive: detected, not an error (Sec. 5.2.2).
   ++stats_.remote_misses;
-  return std::nullopt;
+  return false;
 }
 
 void FetchRouter::read_pfs(data::SampleId sample, double size_mb,
@@ -163,15 +167,10 @@ void FetchRouter::read_pfs(data::SampleId sample, double size_mb,
   stats_.add_mb(stats_.pfs_mb, size_mb);
 }
 
-Bytes FetchRouter::fetch_claimed(data::SampleId sample, double size_mb) {
+void FetchRouter::fill_claimed(data::SampleId sample, double size_mb,
+                               std::span<std::uint8_t> out) {
   try {
-    const std::size_t size = util::mb_to_bytes(size_mb);
-    if (auto remote = fetch_remote(sample, size_mb, size); remote.has_value()) {
-      return std::move(*remote);
-    }
-    Bytes bytes(size);
-    read_pfs(sample, size_mb, bytes);
-    return bytes;
+    if (!fetch_remote(sample, size_mb, out)) read_pfs(sample, size_mb, out);
   } catch (...) {
     // Waiters in wait_if_inflight() must not block on a fetch that died.
     release_claim(sample);
@@ -186,23 +185,30 @@ void FetchRouter::fetch_into(data::SampleId sample, double size_mb,
   }
   const bool may_cache = options_.cache_on_miss && self_plan_.find(sample).has_value();
   for (;;) {
-    // Local cache first — the fastest source when present.
-    if (auto bytes = load_local(sample); bytes.has_value()) {
+    // Local cache first — the fastest source when present.  A claim is
+    // stored before it is listed and nothing evicts, so a listed sample the
+    // backend cannot produce is lost for good: retrying would spin.
+    if (const auto cls = metadata_.find(sample); cls.has_value()) {
+      const auto bytes = share_from(*cls, sample);
+      if (bytes == nullptr) {
+        throw std::runtime_error("fetch_into: sample " + std::to_string(sample) +
+                                 " is listed in class " + std::to_string(*cls) +
+                                 " but its backend cannot produce it");
+      }
       if (bytes->size() != out.size()) {
         throw std::runtime_error("fetch_into: local copy has the wrong length");
       }
-      std::copy(bytes->begin(), bytes->end(), out.begin());
+      if (!out.empty()) std::memcpy(out.data(), bytes->data(), out.size());
       ++stats_.local_fetches;
       stats_.add_mb(stats_.local_mb, size_mb);
       return;
     }
     if (!may_cache) break;
     if (try_claim(sample)) {
-      // This thread materializes the sample for everyone: into a buffer the
-      // cache keeps, then one copy into `out`.
-      const Bytes bytes = fetch_claimed(sample, size_mb);
-      finish_claim(sample, bytes);
-      std::copy(bytes.begin(), bytes.end(), out.begin());
+      // This thread materializes the sample for everyone: straight into
+      // `out`, which the cache then copies.
+      fill_claimed(sample, size_mb, out);
+      finish_claim(sample, out);
       return;
     }
     // Someone else (class prefetcher or a sibling staging thread) is
@@ -210,18 +216,16 @@ void FetchRouter::fetch_into(data::SampleId sample, double size_mb,
     // planned samples hit the PFS at most once per worker.
     wait_if_inflight(sample);
   }
-  // Not cacheable here: a remote payload is copied once, a PFS read is
-  // materialized straight into `out`.
-  if (auto remote = fetch_remote(sample, size_mb, out.size()); remote.has_value()) {
-    std::copy(remote->begin(), remote->end(), out.begin());
-    return;
-  }
-  read_pfs(sample, size_mb, out);
+  // Not cacheable here: a remote payload or a PFS read lands straight in
+  // `out`.
+  if (!fetch_remote(sample, size_mb, out)) read_pfs(sample, size_mb, out);
 }
 
 bool FetchRouter::prefetch_planned(data::SampleId sample, double size_mb) {
   if (!try_claim(sample)) return false;
-  finish_claim(sample, fetch_claimed(sample, size_mb));
+  Bytes bytes(util::mb_to_bytes(size_mb));
+  fill_claimed(sample, size_mb, bytes);
+  finish_claim(sample, bytes);
   return true;
 }
 

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -96,14 +95,17 @@ class FetchRouter {
   /// a caller-owned buffer (the staging slot).  `out` must hold exactly
   /// util::mb_to_bytes(size_mb) bytes (std::invalid_argument otherwise).
   /// If this worker plans to cache the sample and nobody is already
-  /// fetching it, the bytes are cached on the way through; if another
-  /// thread is mid-fetch, this call waits for that fetch and serves the
-  /// result locally — planned samples hit the PFS at most once per worker.
-  /// A PFS read of a sample this worker does not cache is materialized
-  /// straight into `out`; every other source is copied into it once.  A
-  /// remote payload of the wrong length counts as a remote miss and falls
-  /// back to the PFS.  Errors of the source (e.g. a data file of the wrong
-  /// length) propagate; a claim the failed fetch held is released first.
+  /// fetching it, the bytes are cached on the way through (the cache copies
+  /// them from `out`); if another thread is mid-fetch, this call waits for
+  /// that fetch and serves the result locally — planned samples hit the
+  /// PFS at most once per worker.  Remote payloads and PFS reads land
+  /// straight in `out`; a local hit is copied into it once, outside the
+  /// backend lock.  A remote payload of the wrong length counts as a
+  /// remote miss and falls back to the PFS.  A sample the metadata lists as
+  /// cached whose backend cannot produce it (a removed file, a failed mmap)
+  /// throws std::runtime_error.  Errors of the source (e.g. a data file of
+  /// the wrong length) propagate; a claim the failed fetch held is released
+  /// first.
   void fetch_into(data::SampleId sample, double size_mb, std::span<std::uint8_t> out);
 
   /// Class-prefetcher path: fetches and caches `sample` into its planned
@@ -120,32 +122,36 @@ class FetchRouter {
   [[nodiscard]] FetchStats& stats() noexcept { return stats_; }
   [[nodiscard]] const RouterOptions& options() const noexcept { return options_; }
 
-  /// Loads `sample` from local cache only (serve handler path); charges the
-  /// holding tier's read time.  nullopt when not cached.
-  [[nodiscard]] std::optional<Bytes> load_local(data::SampleId sample);
+  /// The cached buffer of `sample` itself (serve handler path), or nullptr
+  /// when not cached; charges the holding tier's read time.
+  [[nodiscard]] std::shared_ptr<const Bytes> load_local(data::SampleId sample);
 
  private:
+  /// `sample`'s buffer from class `cls`'s backend, charging that tier's
+  /// read time when the backend has it.
+  [[nodiscard]] std::shared_ptr<const Bytes> share_from(int cls, data::SampleId sample);
+
   /// The remote half of source selection: when the model picks a peer and
-  /// the peer returns exactly `expected_bytes`, that payload (counted as a
-  /// remote fetch); otherwise nullopt, after counting a miss if a peer was
-  /// asked.  No local check, no caching.
-  [[nodiscard]] std::optional<Bytes> fetch_remote(data::SampleId sample, double size_mb,
-                                                  std::size_t expected_bytes);
+  /// the peer returns exactly out.size() bytes, they land in `out` and
+  /// count as a remote fetch (true); otherwise false, after counting a miss
+  /// if a peer was asked.  No local check, no caching.
+  [[nodiscard]] bool fetch_remote(data::SampleId sample, double size_mb,
+                                  std::span<std::uint8_t> out);
 
   /// Reads `sample` from the PFS into `out` and counts it.
   void read_pfs(data::SampleId sample, double size_mb, std::span<std::uint8_t> out);
 
-  /// Fetches a claimed sample from the fastest remote/PFS source into a
-  /// new buffer, which the cache keeps.  Releases the claim if it throws.
-  [[nodiscard]] Bytes fetch_claimed(data::SampleId sample, double size_mb);
+  /// Fills `out` with a claimed sample from the fastest remote/PFS source.
+  /// Releases the claim if it throws.
+  void fill_claimed(data::SampleId sample, double size_mb, std::span<std::uint8_t> out);
 
   /// Claims the right to materialize `sample` locally.  False if already
   /// cached or claimed by another thread.
   [[nodiscard]] bool try_claim(data::SampleId sample);
 
-  /// Stores claimed bytes into `sample`'s planned class, updates metadata,
-  /// then releases the claim.
-  void finish_claim(data::SampleId sample, const Bytes& bytes);
+  /// Stores a copy of the claimed bytes into `sample`'s planned class,
+  /// updates metadata, then releases the claim.
+  void finish_claim(data::SampleId sample, std::span<const std::uint8_t> bytes);
 
   /// Drops the claim on `sample` and wakes waiters.
   void release_claim(data::SampleId sample);

@@ -17,20 +17,20 @@ namespace nopfs::core {
 
 MemoryBackend::MemoryBackend(double capacity_mb) : capacity_mb_(capacity_mb) {}
 
-bool MemoryBackend::store(data::SampleId sample, const Bytes& bytes) {
+bool MemoryBackend::store(data::SampleId sample, std::span<const std::uint8_t> bytes) {
   const double size_mb = util::bytes_to_mb(bytes.size());
   const std::scoped_lock lock(mutex_);
   if (store_.contains(sample)) return false;
   if (used_mb_ + size_mb > capacity_mb_) return false;
-  store_.emplace(sample, bytes);
+  store_.emplace(sample, std::make_shared<const Bytes>(bytes.begin(), bytes.end()));
   used_mb_ += size_mb;
   return true;
 }
 
-std::optional<Bytes> MemoryBackend::load(data::SampleId sample) const {
+std::shared_ptr<const Bytes> MemoryBackend::share(data::SampleId sample) const {
   const std::scoped_lock lock(mutex_);
   const auto it = store_.find(sample);
-  if (it == store_.end()) return std::nullopt;
+  if (it == store_.end()) return nullptr;
   return it->second;
 }
 
@@ -43,7 +43,7 @@ bool MemoryBackend::erase(data::SampleId sample) {
   const std::scoped_lock lock(mutex_);
   const auto it = store_.find(sample);
   if (it == store_.end()) return false;
-  used_mb_ -= util::bytes_to_mb(it->second.size());
+  used_mb_ -= util::bytes_to_mb(it->second->size());
   store_.erase(it);
   return true;
 }
@@ -72,7 +72,8 @@ std::filesystem::path FilesystemBackend::path_of(data::SampleId sample) const {
   return directory_ / (std::to_string(sample) + ".bin");
 }
 
-bool FilesystemBackend::store(data::SampleId sample, const Bytes& bytes) {
+bool FilesystemBackend::store(data::SampleId sample,
+                              std::span<const std::uint8_t> bytes) {
   const double size_mb = util::bytes_to_mb(bytes.size());
   {
     const std::scoped_lock lock(mutex_);
@@ -100,26 +101,32 @@ bool FilesystemBackend::store(data::SampleId sample, const Bytes& bytes) {
   return ok;
 }
 
-std::optional<Bytes> FilesystemBackend::load(data::SampleId sample) const {
+std::shared_ptr<const Bytes> FilesystemBackend::share(data::SampleId sample) const {
   std::uint64_t size = 0;
   {
     const std::scoped_lock lock(mutex_);
     const auto it = sizes_bytes_.find(sample);
-    if (it == sizes_bytes_.end()) return std::nullopt;
+    if (it == sizes_bytes_.end()) return nullptr;
     size = it->second;
   }
   // mmap read path, as in the paper's filesystem prefetcher.
   const auto path = path_of(sample);
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return std::nullopt;
-  Bytes bytes(size);
+  if (fd < 0) return nullptr;
+  // A file cut short behind our back would fault the copy below (SIGBUS).
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || static_cast<std::uint64_t>(st.st_size) != size) {
+    ::close(fd);
+    return nullptr;
+  }
+  auto bytes = std::make_shared<Bytes>(size);
   if (size > 0) {
     void* mapped = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
     if (mapped == MAP_FAILED) {
       ::close(fd);
-      return std::nullopt;
+      return nullptr;
     }
-    std::memcpy(bytes.data(), mapped, size);
+    std::memcpy(bytes->data(), mapped, size);
     ::munmap(mapped, size);
   }
   ::close(fd);

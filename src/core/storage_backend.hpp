@@ -8,11 +8,17 @@
 // FilesystemBackend persists one file per sample under a directory and
 // reads via mmap, matching the paper's mmap-based filesystem prefetcher.
 // Both enforce a capacity and are thread-safe.
+//
+// Reads hand out shared, immutable buffers (share()): a cache hit copies
+// the sample only where its bytes have to move (into a staging slot, or
+// onto a socket), never under the backend lock.  A shared buffer stays
+// valid after erase() until its last holder drops it.
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <mutex>
-#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,12 +34,14 @@ class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
 
-  /// Stores `bytes` under `sample`.  Returns false if the sample is already
-  /// present or capacity would be exceeded.
-  virtual bool store(data::SampleId sample, const Bytes& bytes) = 0;
+  /// Stores a copy of `bytes` under `sample`.  Returns false if the sample
+  /// is already present or capacity would be exceeded.
+  virtual bool store(data::SampleId sample, std::span<const std::uint8_t> bytes) = 0;
 
-  /// Loads the full content of `sample`, or nullopt if absent.
-  [[nodiscard]] virtual std::optional<Bytes> load(data::SampleId sample) const = 0;
+  /// The full content of `sample`, or nullptr if absent.  The buffer is
+  /// immutable and outlives erase() while the caller holds it.
+  [[nodiscard]] virtual std::shared_ptr<const Bytes> share(
+      data::SampleId sample) const = 0;
 
   [[nodiscard]] virtual bool contains(data::SampleId sample) const = 0;
 
@@ -50,8 +58,8 @@ class MemoryBackend final : public StorageBackend {
  public:
   explicit MemoryBackend(double capacity_mb);
 
-  bool store(data::SampleId sample, const Bytes& bytes) override;
-  [[nodiscard]] std::optional<Bytes> load(data::SampleId sample) const override;
+  bool store(data::SampleId sample, std::span<const std::uint8_t> bytes) override;
+  [[nodiscard]] std::shared_ptr<const Bytes> share(data::SampleId sample) const override;
   [[nodiscard]] bool contains(data::SampleId sample) const override;
   bool erase(data::SampleId sample) override;
   [[nodiscard]] double used_mb() const override;
@@ -61,11 +69,12 @@ class MemoryBackend final : public StorageBackend {
  private:
   double capacity_mb_;
   mutable std::mutex mutex_;
-  std::unordered_map<data::SampleId, Bytes> store_;
+  std::unordered_map<data::SampleId, std::shared_ptr<const Bytes>> store_;
   double used_mb_ = 0.0;
 };
 
-/// SSD/HDD-class backend: one file per sample, mmap-based reads.
+/// SSD/HDD-class backend: one file per sample; share() mmaps the file and
+/// copies it into a new buffer.
 class FilesystemBackend final : public StorageBackend {
  public:
   /// Files live under `directory` (created if missing).  The directory is
@@ -73,8 +82,8 @@ class FilesystemBackend final : public StorageBackend {
   FilesystemBackend(std::filesystem::path directory, double capacity_mb);
   ~FilesystemBackend() override;
 
-  bool store(data::SampleId sample, const Bytes& bytes) override;
-  [[nodiscard]] std::optional<Bytes> load(data::SampleId sample) const override;
+  bool store(data::SampleId sample, std::span<const std::uint8_t> bytes) override;
+  [[nodiscard]] std::shared_ptr<const Bytes> share(data::SampleId sample) const override;
   [[nodiscard]] bool contains(data::SampleId sample) const override;
   bool erase(data::SampleId sample) override;
   [[nodiscard]] double used_mb() const override;

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -44,11 +45,13 @@ class FaultTransport final : public Transport {
   }
 
   std::optional<Bytes> fetch_sample(int peer, std::uint64_t id) override {
-    if (plan_.connection_down(inner_.rank(), virtual_now())) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
+    if (dropped_now()) return std::nullopt;
     return inner_.fetch_sample(peer, id);
+  }
+
+  bool fetch_sample_into(int peer, std::uint64_t id,
+                         std::span<std::uint8_t> out) override {
+    return !dropped_now() && inner_.fetch_sample_into(peer, id, out);
   }
 
   int pfs_adjust(int delta) override { return inner_.pfs_adjust(delta); }
@@ -80,6 +83,13 @@ class FaultTransport final : public Transport {
   }
 
  private:
+  /// True, and counted, when a drop window covers this rank right now.
+  bool dropped_now() {
+    if (!plan_.connection_down(inner_.rank(), virtual_now())) return false;
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+
   [[nodiscard]] double virtual_now() const {
     const auto elapsed = std::chrono::steady_clock::now() - start_;
     return std::chrono::duration<double>(elapsed).count() * time_scale_;

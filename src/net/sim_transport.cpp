@@ -1,5 +1,6 @@
 #include "net/sim_transport.hpp"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "tiers/devices.hpp"
@@ -66,7 +67,7 @@ void SimTransport::set_serve_handler(ServeHandler handler) {
   fabric_->handlers_[static_cast<std::size_t>(rank_)] = std::move(handler);
 }
 
-std::optional<Bytes> SimTransport::fetch_sample(int peer, std::uint64_t id) {
+std::shared_ptr<const Bytes> SimTransport::serve(int peer, std::uint64_t id) {
   if (peer < 0 || peer >= fabric_->world_size()) {
     throw std::invalid_argument("SimTransport: peer out of range");
   }
@@ -77,15 +78,17 @@ std::optional<Bytes> SimTransport::fetch_sample(int peer, std::uint64_t id) {
   // its own emulated tiers); the wire cost is charged on both NICs.  The
   // peer's serve mutex is held across the call: serves from one peer are
   // serialized (a server loop), and handler teardown cannot race a serve.
-  std::optional<Bytes> result;
+  // The returned buffer is shared and immutable, so it is read after the
+  // mutex is released.
+  std::shared_ptr<const Bytes> result;
   {
     const std::scoped_lock lock(
         *fabric_->serve_mutexes_[static_cast<std::size_t>(peer)]);
     const ServeHandler& handler = fabric_->handlers_[static_cast<std::size_t>(peer)];
-    if (!handler) return std::nullopt;
+    if (!handler) return nullptr;
     result = handler(id);
   }
-  if (result.has_value()) {
+  if (result != nullptr) {
     const double mb = util::bytes_to_mb(result->size());
     tiers::NicDevice* peer_nic = fabric_->nics_[static_cast<std::size_t>(peer)];
     if (peer_nic != nullptr) peer_nic->transfer(mb);
@@ -96,6 +99,20 @@ std::optional<Bytes> SimTransport::fetch_sample(int peer, std::uint64_t id) {
     }
   }
   return result;
+}
+
+std::optional<Bytes> SimTransport::fetch_sample(int peer, std::uint64_t id) {
+  const auto result = serve(peer, id);
+  if (result == nullptr) return std::nullopt;
+  return *result;
+}
+
+bool SimTransport::fetch_sample_into(int peer, std::uint64_t id,
+                                     std::span<std::uint8_t> out) {
+  const auto result = serve(peer, id);
+  if (result == nullptr || result->size() != out.size()) return false;
+  if (!out.empty()) std::memcpy(out.data(), result->data(), out.size());
+  return true;
 }
 
 int SimTransport::pfs_adjust(int delta) {

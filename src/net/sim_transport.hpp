@@ -98,6 +98,8 @@ class SimTransport final : public Transport {
 
   void set_serve_handler(ServeHandler handler) override;
   std::optional<Bytes> fetch_sample(int peer, std::uint64_t id) override;
+  bool fetch_sample_into(int peer, std::uint64_t id,
+                         std::span<std::uint8_t> out) override;
 
   int pfs_adjust(int delta) override;
   void set_pfs_listener(PfsListener listener) override;
@@ -112,6 +114,10 @@ class SimTransport final : public Transport {
   [[nodiscard]] double transferred_mb() const override;
 
  private:
+  /// The emulated RPC: `peer`'s handler result, with both NICs charged on
+  /// a hit.
+  [[nodiscard]] std::shared_ptr<const Bytes> serve(int peer, std::uint64_t id);
+
   std::shared_ptr<SimFabric> fabric_;
   int rank_;
   tiers::NicDevice* nic_;

@@ -142,6 +142,12 @@ void make_nonblocking(int fd) {
   }
 }
 
+/// Reply frames answer the ticket at the front of a channel's FIFO.
+bool is_reply(wire::MsgType type) {
+  return type == wire::MsgType::kHit || type == wire::MsgType::kMiss ||
+         type == wire::MsgType::kSweepGrant || type == wire::MsgType::kSweepDone;
+}
+
 /// Deep enough that a whole large world dialing at once doesn't drop SYNs;
 /// the kernel clamps to net.core.somaxconn.
 int listen_backlog(int world_size) { return std::max(world_size + 8, 128); }
@@ -159,19 +165,26 @@ struct SocketTransport::PendingFetch {
   /// reply kinds can never mis-pair); a sweep ticket resolves on
   /// kSweepGrant/kSweepDone instead of kHit/kMiss.
   bool sweep = false;
+  /// fetch_sample_into: the caller's buffer, where a kHit of exactly its
+  /// size is received in place.  Reactor-confined once the ticket is
+  /// posted; a timed-out caller's cancel empties it.
+  std::span<std::uint8_t> dest;
   std::mutex m;
   std::condition_variable cv;
   bool done = false;
   bool hit = false;
+  bool landed = false;      ///< the hit's payload was received into `dest`
+  bool cancelled = false;   ///< the reactor will not write into `dest` again
   bool sweep_done = false;  ///< reply was kSweepDone (grid drained)
   Bytes payload;
 
-  void resolve(bool hit_value, Bytes bytes) {
+  void resolve(bool hit_value, Bytes bytes, bool landed_value = false) {
     {
       const std::scoped_lock lock(m);
       if (done) return;
       done = true;
       hit = hit_value;
+      landed = landed_value;
       payload = std::move(bytes);
     }
     cv.notify_all();
@@ -215,6 +228,13 @@ struct SocketTransport::Session : std::enable_shared_from_this<Session> {
   /// answers one connection's requests in order, so replies resolve these
   /// FIFO.
   std::deque<std::shared_ptr<PendingFetch>> pending_fetches;
+  /// kChannel: reply headers the reader decoded that are not dispatched
+  /// yet.  They pair with the front of pending_fetches in order, so the
+  /// next decoded reply belongs to pending_fetches[undispatched_replies].
+  std::size_t undispatched_replies = 0;
+  /// kChannel: the ticket whose `dest` the reader chose for the payload it
+  /// decoded last (null when that payload went to the reader's buffer).
+  std::shared_ptr<PendingFetch> sinking;
 
   /// kServe: replies owing an emulated-NIC delay.  Strictly FIFO — a free
   /// reply behind a delayed one waits for it (deadlines are monotone), or
@@ -223,7 +243,7 @@ struct SocketTransport::Session : std::enable_shared_from_this<Session> {
     Clock::time_point due;
     wire::MsgType type;
     std::uint64_t arg;
-    Bytes payload;
+    std::shared_ptr<const Bytes> payload;
   };
   std::deque<DelayedReply> delayed;
   bool delayed_timer_armed = false;
@@ -968,12 +988,14 @@ void SocketTransport::loop_serve_frame(const std::shared_ptr<Session>& session,
   }
   switch (frame.header.type) {
     case wire::MsgType::kFetch: {
-      std::optional<Bytes> sample;
+      // The handler hands over the cached buffer itself; the reply sends
+      // from it without a copy.
+      std::shared_ptr<const Bytes> sample;
       {
         const std::scoped_lock lock(handler_mutex_);
         if (handler_) sample = handler_(frame.header.arg);
       }
-      if (sample.has_value()) {
+      if (sample != nullptr) {
         // The server-side NIC charge: same rule as SimTransport, which
         // prices a remote fetch on both endpoints' NICs.  Reserved, not
         // blocked: the delay becomes a reactor timer on the reply.
@@ -983,10 +1005,10 @@ void SocketTransport::loop_serve_frame(const std::shared_ptr<Session>& session,
               util::bytes_to_mb(sample->size()));
         }
         loop_enqueue_reply(session, wire::MsgType::kHit, frame.header.arg,
-                           std::move(*sample), delay_s);
+                           std::move(sample), delay_s);
       } else {
         loop_enqueue_reply(session, wire::MsgType::kMiss, frame.header.arg,
-                           Bytes{}, 0.0);
+                           nullptr, 0.0);
       }
       return;
     }
@@ -1043,7 +1065,8 @@ void SocketTransport::loop_serve_frame(const std::shared_ptr<Session>& session,
       loop_enqueue_reply(session,
                          reply.first ? wire::MsgType::kSweepDone
                                      : wire::MsgType::kSweepGrant,
-                         frame.header.arg, std::move(reply.second), 0.0);
+                         frame.header.arg,
+                         std::make_shared<const Bytes>(std::move(reply.second)), 0.0);
       return;
     }
     case wire::MsgType::kSweepResult: {
@@ -1070,7 +1093,8 @@ void SocketTransport::loop_serve_frame(const std::shared_ptr<Session>& session,
 
 void SocketTransport::loop_enqueue_reply(const std::shared_ptr<Session>& session,
                                          wire::MsgType type, std::uint64_t arg,
-                                         Bytes payload, double delay_s) {
+                                         std::shared_ptr<const Bytes> payload,
+                                         double delay_s) {
   if (delay_s <= 0.0 && session->delayed.empty()) {
     session->sendq.push(type, arg, std::move(payload));
     loop_mark_dirty(session);
@@ -1116,6 +1140,7 @@ void SocketTransport::loop_arm_delayed_timer(
 
 void SocketTransport::loop_channel_reply(const std::shared_ptr<Session>& session,
                                          wire::Frame frame) {
+  if (is_reply(frame.header.type)) --session->undispatched_replies;
   switch (frame.header.type) {
     case wire::MsgType::kHit:
     case wire::MsgType::kMiss: {
@@ -1132,7 +1157,7 @@ void SocketTransport::loop_channel_reply(const std::shared_ptr<Session>& session
             "SocketTransport: fetch reply paired with a sweep ticket");
       }
       ticket->resolve(frame.header.type == wire::MsgType::kHit,
-                      std::move(frame.payload));
+                      std::move(frame.payload), frame.sunk);
       return;
     }
     case wire::MsgType::kSweepGrant:
@@ -1339,18 +1364,9 @@ std::optional<std::pair<bool, Bytes>> SocketTransport::sweep_pull(Bytes pull) {
                         std::move(payload));
     loop_mark_dirty(channel);
   });
-  std::unique_lock lock(ticket->m);
-  const bool done = ticket->cv.wait_for(
-      lock, std::chrono::duration<double>(options_.timeout_s),
-      [&] { return ticket->done; });
-  if (!done || !ticket->hit) {
-    lock.unlock();
-    if (!done && !stopping_.load(std::memory_order_acquire)) {
-      util::log_error("SocketTransport rank ", options_.rank,
-                      " sweep pull: timed out");
-    }
-    return std::nullopt;
-  }
+  if (!await_resolved(ticket)) return std::nullopt;
+  const std::scoped_lock lock(ticket->m);
+  if (!ticket->hit) return std::nullopt;
   return std::make_pair(ticket->sweep_done, std::move(ticket->payload));
 }
 
@@ -1405,6 +1421,26 @@ std::shared_ptr<SocketTransport::Session> SocketTransport::loop_channel(int peer
                                : Session::State::kConnecting));
   session->peer = peer;
   if (rc != 0) reactor_->mod_fd(fd, kEventIn | kEventOut);
+  // In-place receive (DESIGN.md Sec. 7.1): a kHit lands straight in the
+  // buffer of the ticket it answers when its id and length match.  Every
+  // reply header is counted, so the pairing is the dispatcher's FIFO one.
+  Session* raw = session.get();
+  session->reader.set_payload_sink([raw](const wire::FrameHeader& header) {
+    std::span<std::uint8_t> dest;
+    if (!is_reply(header.type)) return dest;
+    const std::size_t index = raw->undispatched_replies++;
+    raw->sinking.reset();
+    if (header.type != wire::MsgType::kHit || index >= raw->pending_fetches.size()) {
+      return dest;
+    }
+    const auto& ticket = raw->pending_fetches[index];
+    if (ticket->sweep || ticket->id != header.arg || ticket->dest.empty() ||
+        ticket->dest.size() != header.payload_len) {
+      return dest;
+    }
+    raw->sinking = ticket;
+    return ticket->dest;
+  });
   // The channel hello leads every frame on a dialed channel (revision 3).
   Bytes hello;
   wire::put_u32(hello, wire::kProtocolVersion);
@@ -1418,6 +1454,11 @@ std::shared_ptr<SocketTransport::Session> SocketTransport::loop_channel(int peer
 
 SocketTransport::FetchTicket SocketTransport::fetch_sample_start(
     int peer, std::uint64_t id) {
+  return start_fetch(peer, id, {});
+}
+
+SocketTransport::FetchTicket SocketTransport::start_fetch(
+    int peer, std::uint64_t id, std::span<std::uint8_t> dest) {
   check_peer(peer);
   if (peer == options_.rank) {
     throw std::invalid_argument("SocketTransport: fetch_sample from self");
@@ -1425,6 +1466,7 @@ SocketTransport::FetchTicket SocketTransport::fetch_sample_start(
   auto ticket = std::make_shared<PendingFetch>();
   ticket->id = id;
   ticket->peer = peer;
+  ticket->dest = dest;
   if (stopping_.load(std::memory_order_acquire) || reactor_ == nullptr) {
     ticket->resolve(false, {});
     return ticket;
@@ -1442,37 +1484,104 @@ SocketTransport::FetchTicket SocketTransport::fetch_sample_start(
   return ticket;
 }
 
-std::optional<Bytes> SocketTransport::fetch_sample_finish(
-    const FetchTicket& ticket) {
-  Bytes payload;
+bool SocketTransport::await_resolved(const FetchTicket& ticket) {
   {
     std::unique_lock lock(ticket->m);
-    const bool done =
-        ticket->cv.wait_for(lock, std::chrono::duration<double>(options_.timeout_s),
-                            [&] { return ticket->done; });
-    if (!done) {
-      lock.unlock();
-      if (!stopping_.load(std::memory_order_acquire)) {
-        util::log_error("SocketTransport rank ", options_.rank, " fetch from ",
-                        ticket->peer, ": timed out");
-      }
-      return std::nullopt;
+    if (ticket->cv.wait_for(lock, std::chrono::duration<double>(options_.timeout_s),
+                            [&] { return ticket->done; })) {
+      return true;
     }
-    if (!ticket->hit) return std::nullopt;
-    payload = std::move(ticket->payload);
   }
-  const double mb = util::bytes_to_mb(payload.size());
+  if (!stopping_.load(std::memory_order_acquire)) {
+    if (ticket->sweep) {
+      util::log_error("SocketTransport rank ", options_.rank, " sweep pull: timed out");
+    } else {
+      util::log_error("SocketTransport rank ", options_.rank, " fetch from ",
+                      ticket->peer, ": timed out");
+    }
+  }
+  return false;
+}
+
+void SocketTransport::cancel_landing(const FetchTicket& ticket) {
+  // A resolved ticket is never written again: the reply that resolved it
+  // was fully received, or its channel is closed, or the reactor is gone.
+  // Otherwise the reactor stops using the caller's buffer here, moving a
+  // half-received payload into the reader's own.
+  reactor_->post([this, ticket] {
+    ticket->dest = {};
+    const auto& channel = loop_->channels[static_cast<std::size_t>(ticket->peer)];
+    if (channel != nullptr && channel->sinking == ticket) {
+      channel->reader.detach_sink();
+      channel->sinking.reset();
+    }
+    {
+      const std::scoped_lock lock(ticket->m);
+      ticket->cancelled = true;
+    }
+    ticket->cv.notify_all();
+  });
+  std::unique_lock lock(ticket->m);
+  while (!ticket->cv.wait_for(lock, std::chrono::duration<double>(options_.timeout_s),
+                              [&] { return ticket->done || ticket->cancelled; })) {
+    util::log_warn("SocketTransport rank ", options_.rank, ": fetch from ",
+                   ticket->peer,
+                   " timed out; waiting for the reactor to release the caller's buffer");
+  }
+}
+
+void SocketTransport::charge_received(std::size_t bytes) {
+  const double mb = util::bytes_to_mb(bytes);
   if (options_.nic != nullptr) {
     options_.nic->transfer(mb);
   } else {
     // Atomic add (fetches may race from several prefetch threads).
     transferred_mb_no_nic_.fetch_add(mb, std::memory_order_relaxed);
   }
+}
+
+std::optional<Bytes> SocketTransport::fetch_sample_finish(
+    const FetchTicket& ticket) {
+  if (!await_resolved(ticket)) return std::nullopt;
+  Bytes payload;
+  {
+    const std::scoped_lock lock(ticket->m);
+    if (!ticket->hit) return std::nullopt;
+    payload = std::move(ticket->payload);
+  }
+  charge_received(payload.size());
   return payload;
 }
 
 std::optional<Bytes> SocketTransport::fetch_sample(int peer, std::uint64_t id) {
   return fetch_sample_finish(fetch_sample_start(peer, id));
+}
+
+bool SocketTransport::fetch_sample_into(int peer, std::uint64_t id,
+                                        std::span<std::uint8_t> out) {
+  const FetchTicket ticket = start_fetch(peer, id, out);
+  if (!await_resolved(ticket)) {
+    cancel_landing(ticket);
+    return false;
+  }
+  bool landed = false;
+  Bytes payload;
+  {
+    const std::scoped_lock lock(ticket->m);
+    if (!ticket->hit) return false;
+    landed = ticket->landed;
+    payload = std::move(ticket->payload);
+  }
+  if (landed) {
+    charge_received(out.size());
+    return true;
+  }
+  // A hit that did not land in place: an empty sample, or a payload of
+  // another length (a miss to the caller, but its bytes did cross the NIC).
+  charge_received(payload.size());
+  if (payload.size() != out.size()) return false;
+  if (!out.empty()) std::memcpy(out.data(), payload.data(), out.size());
+  return true;
 }
 
 // ---------------------------------------------------------------------------

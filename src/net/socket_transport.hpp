@@ -24,6 +24,10 @@
 //     fetch_sample_start() enqueues a kFetch and returns a ticket,
 //     fetch_sample_finish() parks on it, and replies match tickets FIFO
 //     because the serve side answers one connection's requests in order.
+//     fetch_sample_into() rides the same ticket carrying the caller's
+//     buffer: its kHit is received straight into it, and the server sends
+//     the cached buffer its handler returned, so a remote hit makes no
+//     user-space copy on either rank (DESIGN.md Sec. 7.1).
 //   * Time charging: byte-for-byte the SimTransport rules — a successful
 //     fetch charges the server's emulated NIC as it serves and the
 //     requester's NIC as it receives, so a run is priced identically no
@@ -54,6 +58,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,6 +125,11 @@ class SocketTransport final : public Transport {
 
   void set_serve_handler(ServeHandler handler) override;
   std::optional<Bytes> fetch_sample(int peer, std::uint64_t id) override;
+  /// The same ticket as fetch_sample(), carrying `out`: a kHit of exactly
+  /// out.size() bytes is received straight into it by the reactor.  On a
+  /// timeout the call cancels that receive on the reactor before it returns.
+  bool fetch_sample_into(int peer, std::uint64_t id,
+                         std::span<std::uint8_t> out) override;
 
   // --- pipelined fetch -----------------------------------------------------
   // fetch_sample() == fetch_sample_start() + fetch_sample_finish().  Splitting
@@ -193,6 +203,18 @@ class SocketTransport final : public Transport {
   struct Loop;     // reactor-confined state: sessions, collectives, rendezvous
   struct SyncWaiter;
 
+  /// Queues a kFetch ticket; a non-empty `dest` asks for in-place receive.
+  [[nodiscard]] FetchTicket start_fetch(int peer, std::uint64_t id,
+                                        std::span<std::uint8_t> dest);
+  /// Parks until `ticket` resolves.  False, logged, when timeout_s passed
+  /// first.
+  bool await_resolved(const FetchTicket& ticket);
+  /// After a timed-out fetch_sample_into: makes the reactor stop writing
+  /// into the ticket's `dest`, and waits until it has.
+  void cancel_landing(const FetchTicket& ticket);
+  /// Charges the requester's NIC (or the no-NIC counter) for a received hit.
+  void charge_received(std::size_t bytes);
+
   void rendezvous_as_root();
   void rendezvous_as_peer();
   void check_peer(int peer) const;
@@ -218,8 +240,8 @@ class SocketTransport final : public Transport {
   /// behind a delayed reply waits for it — reply order must match request
   /// order or pipelined tickets would mis-pair.
   void loop_enqueue_reply(const std::shared_ptr<Session>& session,
-                          wire::MsgType type, std::uint64_t arg, Bytes payload,
-                          double delay_s);
+                          wire::MsgType type, std::uint64_t arg,
+                          std::shared_ptr<const Bytes> payload, double delay_s);
   void loop_arm_delayed_timer(const std::shared_ptr<Session>& session);
   /// Channel to `peer`, dialing (non-blocking) on first use.  Returns null
   /// if the peer is unreachable or the transport is draining.

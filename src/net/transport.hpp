@@ -12,8 +12,11 @@
 // same interface.
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -68,8 +71,10 @@ class Transport {
   virtual void barrier() = 0;
 
   /// Handler invoked when a remote worker requests sample `id` from this
-  /// rank; returns the bytes if locally cached, nullopt otherwise.
-  using ServeHandler = std::function<std::optional<Bytes>(std::uint64_t id)>;
+  /// rank; returns the cached buffer itself, or nullptr when not cached.
+  /// The buffer must stay unmodified while the transport holds it: it is
+  /// sent as is, without a copy.
+  using ServeHandler = std::function<std::shared_ptr<const Bytes>(std::uint64_t id)>;
 
   /// Installs the serve handler (must be set before any peer may fetch).
   virtual void set_serve_handler(ServeHandler handler) = 0;
@@ -78,6 +83,21 @@ class Transport {
   /// not (yet) have the sample — the paper treats this as a detectable,
   /// non-fatal miss.  Blocking; network time is charged by the transport.
   virtual std::optional<Bytes> fetch_sample(int peer, std::uint64_t id) = 0;
+
+  /// fetch_sample() into a caller-owned buffer.  True when the peer had the
+  /// sample and it is exactly out.size() bytes long; then `out` holds it.
+  /// Otherwise false, and the content of `out` is unspecified (a reply cut
+  /// off mid-receive may have written part of it).  The NIC and
+  /// transferred_mb() accounting is fetch_sample()'s.  No write into `out`
+  /// happens after the call returns.  This default fetches and copies once;
+  /// transports that can receive in place override it.
+  virtual bool fetch_sample_into(int peer, std::uint64_t id,
+                                 std::span<std::uint8_t> out) {
+    const auto bytes = fetch_sample(peer, id);
+    if (!bytes.has_value() || bytes->size() != out.size()) return false;
+    if (!out.empty()) std::memcpy(out.data(), bytes->data(), out.size());
+    return true;
+  }
 
   /// Invoked with the new job-wide PFS active-reader count gamma whenever
   /// it changes because of ANOTHER rank's activity (this rank's own changes

@@ -357,10 +357,10 @@ IoStatus FrameReader::fill_from(int fd, std::size_t max_bytes) {
     if (consumed >= max_bytes) return IoStatus::kDone;
     ssize_t n = 0;
     const std::size_t payload_want =
-        have_header_ ? payload_.size() - payload_have_ : 0;
+        have_header_ ? header_.payload_len - payload_have_ : 0;
     if (payload_want >= sizeof(scratch_)) {
-      // Large remainder: read straight into the payload buffer.
-      n = ::recv(fd, payload_.data() + payload_have_, payload_want, 0);
+      // Large remainder: read straight into the payload's destination.
+      n = ::recv(fd, payload_dest() + payload_have_, payload_want, 0);
       if (n > 0) {
         payload_have_ += static_cast<std::size_t>(n);
         consumed += static_cast<std::size_t>(n);
@@ -395,15 +395,18 @@ void FrameReader::dispense() {
       header_ = decode_header(header_buf_);  // throws on a malformed header
       have_header_ = true;
       header_have_ = 0;
-      payload_.clear();
-      payload_.resize(header_.payload_len);
       payload_have_ = 0;
+      if (sink_) {
+        const std::span<std::uint8_t> span = sink_(header_);
+        if (span.size() == header_.payload_len) sunk_ = span;
+      }
+      payload_.clear();
+      if (sunk_.empty()) payload_.resize(header_.payload_len);
       finish_if_complete();  // zero-payload frames complete immediately
     } else {
       const std::size_t take =
-          std::min(avail, payload_.size() - payload_have_);
-      std::memcpy(payload_.data() + payload_have_, scratch_ + scratch_pos_,
-                  take);
+          std::min(avail, header_.payload_len - payload_have_);
+      std::memcpy(payload_dest() + payload_have_, scratch_ + scratch_pos_, take);
       payload_have_ += take;
       scratch_pos_ += take;
       finish_if_complete();
@@ -412,12 +415,21 @@ void FrameReader::dispense() {
 }
 
 void FrameReader::finish_if_complete() {
-  if (have_header_ && payload_have_ == payload_.size()) {
-    ready_.push_back(Frame{header_, std::move(payload_)});
+  if (have_header_ && payload_have_ == header_.payload_len) {
+    ready_.push_back(Frame{header_, std::move(payload_), !sunk_.empty()});
     payload_ = {};
     payload_have_ = 0;
+    sunk_ = {};
     have_header_ = false;
   }
+}
+
+void FrameReader::detach_sink() {
+  if (!have_header_ || sunk_.empty()) return;
+  payload_.assign(sunk_.begin(),
+                  sunk_.begin() + static_cast<std::ptrdiff_t>(payload_have_));
+  payload_.resize(header_.payload_len);
+  sunk_ = {};
 }
 
 Frame FrameReader::pop_frame() {
@@ -428,17 +440,21 @@ Frame FrameReader::pop_frame() {
 
 // --- SendQueue -------------------------------------------------------------
 
-void SendQueue::push(MsgType type, std::uint64_t arg,
-                     std::vector<std::uint8_t> payload) {
-  if (payload.size() > max_payload_bytes(type)) {
+void SendQueue::push_entry(MsgType type, std::uint64_t arg, Entry entry) {
+  const std::size_t len = entry.payload().size();
+  if (len > max_payload_bytes(type)) {
     throw std::runtime_error("wire: payload exceeds the cap for its type");
   }
-  Entry entry;
-  encode_header(entry.header, type, arg,
-                static_cast<std::uint32_t>(payload.size()));
-  entry.payload = std::move(payload);
-  bytes_ += kHeaderBytes + entry.payload.size();
+  encode_header(entry.header, type, arg, static_cast<std::uint32_t>(len));
+  bytes_ += kHeaderBytes + len;
   entries_.push_back(std::move(entry));
+}
+
+void SendQueue::push(MsgType type, std::uint64_t arg,
+                     std::vector<std::uint8_t> payload) {
+  Entry entry;
+  entry.owned = std::move(payload);
+  push_entry(type, arg, std::move(entry));
 }
 
 void SendQueue::push(MsgType type, std::uint64_t arg,
@@ -446,6 +462,13 @@ void SendQueue::push(MsgType type, std::uint64_t arg,
   std::vector<std::uint8_t> copy;
   if (len > 0) copy.assign(payload, payload + len);
   push(type, arg, std::move(copy));
+}
+
+void SendQueue::push(MsgType type, std::uint64_t arg,
+                     std::shared_ptr<const std::vector<std::uint8_t>> payload) {
+  Entry entry;
+  entry.shared = std::move(payload);
+  push_entry(type, arg, std::move(entry));
 }
 
 IoStatus SendQueue::flush(int fd) {
@@ -463,9 +486,11 @@ IoStatus SendQueue::flush(int fd) {
       } else {
         skip -= kHeaderBytes;
       }
-      if (skip < it->payload.size()) {
-        iov[iovcnt].iov_base = it->payload.data() + skip;
-        iov[iovcnt].iov_len = it->payload.size() - skip;
+      const std::span<const std::uint8_t> payload = it->payload();
+      if (skip < payload.size()) {
+        // sendmsg only reads through iov_base; the cast just fits iovec.
+        iov[iovcnt].iov_base = const_cast<std::uint8_t*>(payload.data()) + skip;
+        iov[iovcnt].iov_len = payload.size() - skip;
         ++iovcnt;
       }
       skip = 0;
@@ -486,7 +511,7 @@ IoStatus SendQueue::flush(int fd) {
     front_offset_ += static_cast<std::size_t>(n);
     while (!entries_.empty()) {
       const std::size_t entry_bytes =
-          kHeaderBytes + entries_.front().payload.size();
+          kHeaderBytes + entries_.front().payload().size();
       if (front_offset_ < entry_bytes) break;
       front_offset_ -= entry_bytes;
       entries_.pop_front();

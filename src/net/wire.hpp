@@ -19,15 +19,20 @@
 //   * the blocking rendezvous handshake (send_all/recv_all in
 //     socket_transport.cpp) encodes/decodes one frame at a time;
 //   * the reactor (net/reactor.hpp) pumps non-blocking fds through
-//     FrameReader (incremental parse across partial reads) and SendQueue
+//     FrameReader (incremental parse across partial reads; a payload sink
+//     lets a kHit land straight in the requester's buffer) and SendQueue
 //     (buffered partial writes, scatter/gather flush: a kHit header and its
-//     sample payload leave in one sendmsg).
+//     sample payload leave in one sendmsg, the payload sent from the
+//     server's cached buffer itself).
 //
 // DESIGN.md Sec. 7 documents the message exchange on top of these frames.
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <memory>
+#include <span>
 #include <vector>
 
 namespace nopfs::sim {
@@ -269,6 +274,9 @@ enum class IoStatus { kDone, kWouldBlock, kEof };
 struct Frame {
   FrameHeader header;
   std::vector<std::uint8_t> payload;
+  /// The payload went to the span a FrameReader::PayloadSink chose, and
+  /// `payload` is empty.
+  bool sunk = false;
 };
 
 /// Incremental frame parser for a non-blocking socket.  fill_from() reads
@@ -276,9 +284,17 @@ struct Frame {
 /// 17-byte header can arrive one byte at a time, a payload across many
 /// reads) and completed frames queue up behind has_frame()/pop_frame().
 /// Large payload remainders are read straight into the payload buffer so a
-/// multi-megabyte sample costs no extra copy.
+/// multi-megabyte sample costs no extra copy.  That buffer is the reader's
+/// own unless a payload sink supplies one.
 class FrameReader {
  public:
+  /// Chooses where a frame's payload lands.  Consulted once per decoded
+  /// header, after the header passed its payload cap.  A non-empty span of
+  /// exactly header.payload_len bytes receives the payload and the frame
+  /// arrives `sunk`; any other span (empty, by convention) keeps the
+  /// payload in the frame's own buffer.
+  using PayloadSink = std::function<std::span<std::uint8_t>(const FrameHeader&)>;
+
   /// Per-call read budget: one session cannot starve the rest of the loop.
   /// Bytes left in the socket past it fire the level-triggered reactor
   /// again on its next iteration.
@@ -292,6 +308,14 @@ class FrameReader {
   [[nodiscard]] bool has_frame() const noexcept { return !ready_.empty(); }
   [[nodiscard]] Frame pop_frame();
 
+  void set_payload_sink(PayloadSink sink) { sink_ = std::move(sink); }
+
+  /// Stops writing into the sink's span: a payload still being received
+  /// there moves, with the bytes it has so far, into the reader's own
+  /// buffer, and its frame arrives whole and not `sunk`.  No-op when no
+  /// payload is landing in a sink span.
+  void detach_sink();
+
   /// True when the stream stopped mid-frame — an EOF here means the peer
   /// died mid-send rather than closing cleanly between frames.
   [[nodiscard]] bool mid_frame() const noexcept {
@@ -301,12 +325,18 @@ class FrameReader {
  private:
   void dispense();
   void finish_if_complete();
+  /// Where the current payload's bytes go: the sink's span or payload_.
+  [[nodiscard]] std::uint8_t* payload_dest() noexcept {
+    return sunk_.empty() ? payload_.data() : sunk_.data();
+  }
 
   std::deque<Frame> ready_;
   std::uint8_t header_buf_[kHeaderBytes] = {};
   std::size_t header_have_ = 0;
   bool have_header_ = false;
   FrameHeader header_;
+  PayloadSink sink_;
+  std::span<std::uint8_t> sunk_;  ///< the current payload's sink span, if any
   std::vector<std::uint8_t> payload_;
   std::size_t payload_have_ = 0;
   std::uint8_t scratch_[64 * 1024];
@@ -315,8 +345,8 @@ class FrameReader {
 };
 
 /// Outbound frame queue for a non-blocking socket.  push() stages a frame
-/// (header encoded in place, payload moved in — never copied); flush()
-/// writes as much as the socket accepts with one sendmsg() per batch,
+/// (header encoded in place, payload moved in or shared — never copied);
+/// flush() writes as much as the socket accepts with one sendmsg() per batch,
 /// gathering up to kMaxFlushIov iovecs so a kHit header and its sample
 /// payload — and any frames queued behind them — leave in one syscall.
 /// Partial writes persist as a byte offset into the front frame.
@@ -330,6 +360,11 @@ class SendQueue {
   void push(MsgType type, std::uint64_t arg, std::vector<std::uint8_t> payload);
   void push(MsgType type, std::uint64_t arg, const std::uint8_t* payload,
             std::size_t len);
+  /// Sends `payload` itself, holding the reference until sendmsg has
+  /// written the frame's last byte; the buffer must not change meanwhile.
+  /// nullptr sends an empty payload.
+  void push(MsgType type, std::uint64_t arg,
+            std::shared_ptr<const std::vector<std::uint8_t>> payload);
 
   /// Returns kDone when the queue emptied, kWouldBlock when the socket
   /// stopped accepting bytes (re-arm EPOLLOUT).  Throws std::runtime_error
@@ -341,9 +376,15 @@ class SendQueue {
 
  private:
   struct Entry {
-    std::uint8_t header[kHeaderBytes];
-    std::vector<std::uint8_t> payload;
+    std::uint8_t header[kHeaderBytes] = {};
+    std::vector<std::uint8_t> owned;
+    std::shared_ptr<const std::vector<std::uint8_t>> shared;
+    [[nodiscard]] std::span<const std::uint8_t> payload() const noexcept {
+      if (shared != nullptr) return *shared;
+      return owned;
+    }
   };
+  void push_entry(MsgType type, std::uint64_t arg, Entry entry);
 
   std::deque<Entry> entries_;
   std::size_t front_offset_ = 0;  // bytes of the front entry already sent

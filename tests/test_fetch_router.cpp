@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <stdexcept>
+#include <string>
 
 #include "core/fetch_router.hpp"
 #include "data/materialize.hpp"
@@ -147,9 +148,10 @@ TEST(FetchRouter, RemoteFetchThroughTransport) {
   Bytes payload(util::mb_to_bytes(fix.dataset.size_mb(7)));
   data::fill_sample_content(7, payload);
   transports[1]->set_serve_handler(
-      [payload](std::uint64_t id) -> std::optional<net::Bytes> {
+      [payload = std::make_shared<const Bytes>(payload)](
+          std::uint64_t id) -> std::shared_ptr<const Bytes> {
         if (id == 7) return payload;
-        return std::nullopt;
+        return nullptr;
       });
 
   auto router = fix.make_router(
@@ -168,7 +170,7 @@ TEST(FetchRouter, WatermarkGatesRemote) {
   RouterFixture fix;
   auto transports = net::make_sim_transports(2);
   transports[1]->set_serve_handler(
-      [](std::uint64_t) -> std::optional<net::Bytes> { return net::Bytes{1}; });
+      [](std::uint64_t) { return std::make_shared<const Bytes>(Bytes{1}); });
   auto router = fix.make_router(
       {RouterFixture::plan_with({}), RouterFixture::plan_with({7})}, RouterOptions{},
       transports[0].get());
@@ -183,8 +185,7 @@ TEST(FetchRouter, RemoteMissFallsBackToPfs) {
   auto transports = net::make_sim_transports(2);
   // Peer claims nothing despite the plan (prefetcher hasn't fetched yet):
   // the heuristic's false positive.
-  transports[1]->set_serve_handler(
-      [](std::uint64_t) -> std::optional<net::Bytes> { return std::nullopt; });
+  transports[1]->set_serve_handler([](std::uint64_t) { return nullptr; });
   auto router = fix.make_router(
       {RouterFixture::plan_with({}), RouterFixture::plan_with({7})}, RouterOptions{},
       transports[0].get());
@@ -199,7 +200,7 @@ TEST(FetchRouter, RemoteDisabledByOption) {
   RouterFixture fix;
   auto transports = net::make_sim_transports(2);
   transports[1]->set_serve_handler(
-      [](std::uint64_t) -> std::optional<net::Bytes> { return net::Bytes{1}; });
+      [](std::uint64_t) { return std::make_shared<const Bytes>(Bytes{1}); });
   RouterOptions options;
   options.use_remote = false;
   auto router = fix.make_router(
@@ -216,11 +217,39 @@ TEST(FetchRouter, LoadLocalServesOnlyCached) {
   auto router = fix.make_router(
       {RouterFixture::plan_with({3}), RouterFixture::plan_with({})}, RouterOptions{},
       nullptr);
-  EXPECT_FALSE(router->load_local(3).has_value());
+  EXPECT_EQ(router->load_local(3), nullptr);
   (void)fetch_bytes(*router, 3, fix.dataset.size_mb(3));  // caches it
   const auto bytes = router->load_local(3);
-  ASSERT_TRUE(bytes.has_value());
+  ASSERT_NE(bytes, nullptr);
   EXPECT_TRUE(data::verify_sample_content(3, *bytes));
+  // The serve path hands out the cached buffer itself, not a copy.
+  EXPECT_EQ(bytes, fix.backends[0]->share(3));
+}
+
+TEST(FetchRouter, ListedSampleItsBackendLostThrowsInsteadOfSpinning) {
+  // The metadata lists sample 5 as cached, but its file was deleted behind
+  // the backend's back: no source can fill the claim (the sample counts as
+  // cached) and nobody else is fetching it, so waiting cannot help.
+  RouterFixture fix;
+  auto router = fix.make_router(
+      {RouterFixture::plan_with({5}), RouterFixture::plan_with({})}, RouterOptions{},
+      nullptr);
+  const auto dir = std::filesystem::temp_directory_path() / "nopfs_test_router_lost";
+  auto filesystem = std::make_unique<FilesystemBackend>(dir, 100.0);
+  const FilesystemBackend& backend = *filesystem;
+  fix.backends[0] = std::move(filesystem);
+  const double mb = fix.dataset.size_mb(5);
+  (void)fetch_bytes(*router, 5, mb);  // PFS read, cached on the way through
+  ASSERT_TRUE(fix.metadata->contains(5));
+  std::filesystem::remove(backend.directory() / "5.bin");
+  try {
+    (void)fetch_bytes(*router, 5, mb);
+    FAIL() << "fetch_into returned for a sample no source can produce";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("sample 5 is listed in class 0"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 /// Plain copy of FetchStats counters, for comparing deltas.
@@ -271,9 +300,10 @@ PathRun run_path(FetchPath path) {
   data::fill_sample_content(kId, payload);
   auto transports = net::make_sim_transports(2);
   transports[1]->set_serve_handler(
-      [payload](std::uint64_t id) -> std::optional<net::Bytes> {
+      [payload = std::make_shared<const Bytes>(payload)](
+          std::uint64_t id) -> std::shared_ptr<const Bytes> {
         if (id == kId) return payload;
-        return std::nullopt;
+        return nullptr;
       });
   const bool self_plans = path == FetchPath::kLocalHit || path == FetchPath::kClaim;
   const bool peer_plans = path == FetchPath::kRemoteHit ||

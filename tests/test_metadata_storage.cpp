@@ -68,9 +68,14 @@ TEST(MemoryBackend, StoreLoadErase) {
   EXPECT_TRUE(backend.store(5, bytes));
   EXPECT_FALSE(backend.store(5, bytes));  // duplicate
   EXPECT_TRUE(backend.contains(5));
-  EXPECT_EQ(backend.load(5), std::optional<Bytes>(bytes));
-  EXPECT_FALSE(backend.load(6).has_value());
+  const auto shared = backend.share(5);
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(*shared, bytes);
+  EXPECT_EQ(backend.share(5), shared);  // the stored buffer itself, not a copy
+  EXPECT_EQ(backend.share(6), nullptr);
   EXPECT_TRUE(backend.erase(5));
+  EXPECT_EQ(backend.share(5), nullptr);
+  EXPECT_EQ(*shared, bytes);  // a held buffer outlives erase()
   EXPECT_FALSE(backend.erase(5));
   EXPECT_DOUBLE_EQ(backend.used_mb(), 0.0);
 }
@@ -94,13 +99,14 @@ TEST(FilesystemBackend, StoreLoadWithMmap) {
     data::fill_sample_content(3, bytes);
     EXPECT_TRUE(backend.store(3, bytes));
     EXPECT_TRUE(backend.contains(3));
-    const auto loaded = backend.load(3);
-    ASSERT_TRUE(loaded.has_value());
+    const auto loaded = backend.share(3);
+    ASSERT_NE(loaded, nullptr);
     EXPECT_EQ(*loaded, bytes);
     EXPECT_TRUE(data::verify_sample_content(3, *loaded));
     EXPECT_GT(backend.used_mb(), 0.0);
     EXPECT_TRUE(backend.erase(3));
-    EXPECT_FALSE(backend.load(3).has_value());
+    EXPECT_EQ(backend.share(3), nullptr);
+    EXPECT_EQ(*loaded, bytes);
   }
   EXPECT_FALSE(fs::exists(dir));  // cleaned up
 }
@@ -142,14 +148,29 @@ TEST(FilesystemBackend, ConcurrentStoresRespectCapacity) {
 TEST(Backends, EmptyPayload) {
   MemoryBackend mem(1.0);
   EXPECT_TRUE(mem.store(1, {}));
-  ASSERT_TRUE(mem.load(1).has_value());
-  EXPECT_TRUE(mem.load(1)->empty());
+  ASSERT_NE(mem.share(1), nullptr);
+  EXPECT_TRUE(mem.share(1)->empty());
 
   const fs::path dir = fs::temp_directory_path() / "nopfs_test_fsbackend5";
   FilesystemBackend fsb(dir, 1.0);
   EXPECT_TRUE(fsb.store(1, {}));
-  ASSERT_TRUE(fsb.load(1).has_value());
-  EXPECT_TRUE(fsb.load(1)->empty());
+  ASSERT_NE(fsb.share(1), nullptr);
+  EXPECT_TRUE(fsb.share(1)->empty());
+}
+
+TEST(FilesystemBackend, RemovedOrTruncatedFileIsAbsent) {
+  // A file that vanished or shrank behind the backend's back reads as
+  // absent; it never faults the copy.
+  const fs::path dir = fs::temp_directory_path() / "nopfs_test_fsbackend6";
+  FilesystemBackend backend(dir, 1.0);
+  const Bytes bytes(4096, 5);
+  ASSERT_TRUE(backend.store(1, bytes));
+  ASSERT_TRUE(backend.store(2, bytes));
+  fs::remove(dir / "1.bin");
+  fs::resize_file(dir / "2.bin", 100);
+  EXPECT_TRUE(backend.contains(1));
+  EXPECT_EQ(backend.share(1), nullptr);
+  EXPECT_EQ(backend.share(2), nullptr);
 }
 
 }  // namespace

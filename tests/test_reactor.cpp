@@ -241,11 +241,11 @@ TEST(ReactorTransport, DozensInFlightInterleavedWithGossip) {
   // digest + gamma parity contract of the threaded transport, under
   // pipelining it never supported.
   auto endpoints = make_pair_world();
-  endpoints[0]->set_serve_handler([](std::uint64_t id) -> std::optional<Bytes> {
-    if (id % 7 == 3) return std::nullopt;  // deterministic miss positions
-    Bytes bytes(64);
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-      bytes[i] = static_cast<std::uint8_t>((id * 2654435761u + i) >> 3);
+  endpoints[0]->set_serve_handler([](std::uint64_t id) -> std::shared_ptr<const Bytes> {
+    if (id % 7 == 3) return nullptr;  // deterministic miss positions
+    auto bytes = std::make_shared<Bytes>(64);
+    for (std::size_t i = 0; i < bytes->size(); ++i) {
+      (*bytes)[i] = static_cast<std::uint8_t>((id * 2654435761u + i) >> 3);
     }
     return bytes;
   });
@@ -306,8 +306,9 @@ TEST(ReactorTransport, TicketsFromManyThreadsShareOneConnection) {
   // Several caller threads each keep their own ticket window on the same
   // channel session; per-connection reply matching must never cross wires.
   auto endpoints = make_pair_world();
-  endpoints[0]->set_serve_handler([](std::uint64_t id) -> std::optional<Bytes> {
-    return Bytes{static_cast<std::uint8_t>(id), static_cast<std::uint8_t>(id >> 8)};
+  endpoints[0]->set_serve_handler([](std::uint64_t id) {
+    return std::make_shared<const Bytes>(
+        Bytes{static_cast<std::uint8_t>(id), static_cast<std::uint8_t>(id >> 8)});
   });
   std::atomic<int> bad{0};
   std::vector<std::thread> callers;
@@ -342,10 +343,10 @@ TEST(ReactorTransport, BurstsPastTheReadBudgetDrainIntact) {
   auto endpoints = make_pair_world();
   constexpr std::size_t kPayload = 1u << 20;
   static_assert(8 * kPayload > wire::FrameReader::kDefaultReadBudget);
-  endpoints[0]->set_serve_handler([](std::uint64_t id) -> std::optional<Bytes> {
-    Bytes bytes(kPayload);
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-      bytes[i] = static_cast<std::uint8_t>(id + i * 31);
+  endpoints[0]->set_serve_handler([](std::uint64_t id) -> std::shared_ptr<const Bytes> {
+    auto bytes = std::make_shared<Bytes>(std::size_t{kPayload});
+    for (std::size_t i = 0; i < bytes->size(); ++i) {
+      (*bytes)[i] = static_cast<std::uint8_t>(id + i * 31);
     }
     return bytes;
   });

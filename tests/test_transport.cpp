@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <mutex>
 #include <thread>
 
+#include "net/fault_transport.hpp"
 #include "net/sim_transport.hpp"
+#include "util/units.hpp"
 
 namespace nopfs::net {
 namespace {
@@ -85,9 +89,9 @@ TEST(SimTransport, BarrierSynchronizes) {
 
 TEST(SimTransport, FetchSampleRoundTrip) {
   auto endpoints = make(2);
-  endpoints[1]->set_serve_handler([](std::uint64_t id) -> std::optional<Bytes> {
-    if (id == 42) return Bytes{1, 2, 3};
-    return std::nullopt;
+  endpoints[1]->set_serve_handler([](std::uint64_t id) -> std::shared_ptr<const Bytes> {
+    if (id == 42) return std::make_shared<const Bytes>(Bytes{1, 2, 3});
+    return nullptr;
   });
   auto hit = endpoints[0]->fetch_sample(1, 42);
   ASSERT_TRUE(hit.has_value());
@@ -110,9 +114,94 @@ TEST(SimTransport, FetchFromSelfRejected) {
 TEST(SimTransport, TransferAccountingWithoutNic) {
   auto endpoints = make(2);
   endpoints[1]->set_serve_handler(
-      [](std::uint64_t) -> std::optional<Bytes> { return Bytes(1024 * 1024, 0); });
+      [](std::uint64_t) { return std::make_shared<const Bytes>(1024 * 1024, 0); });
   (void)endpoints[0]->fetch_sample(1, 0);
   EXPECT_NEAR(endpoints[0]->transferred_mb(), 1.0, 1e-9);
+}
+
+/// Records what a NIC is charged.
+class CountingNic final : public tiers::NicDevice {
+ public:
+  void transfer(double mb) override {
+    const std::scoped_lock lock(mutex_);
+    mb_ += mb;
+  }
+  [[nodiscard]] double total_transferred_mb() const override {
+    const std::scoped_lock lock(mutex_);
+    return mb_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  double mb_ = 0.0;
+};
+
+/// fetch_sample_into through `client` (rank 0) from rank 1, which serves
+/// only sample 42 (5 bytes): a hit lands whole, a miss and a payload of
+/// another length leave the buffer as it was, and every call is charged
+/// on `charged` exactly like fetch_sample.
+void expect_fetch_into_cases(Transport& client, const std::function<double()>& charged) {
+  const double mb = util::bytes_to_mb(5);
+  Bytes out(5, 0xee);
+  EXPECT_TRUE(client.fetch_sample_into(1, 42, out));
+  EXPECT_EQ(out, (Bytes{1, 2, 3, 4, 5}));
+  EXPECT_NEAR(charged(), mb, 1e-12);
+
+  Bytes miss(5, 0xee);
+  EXPECT_FALSE(client.fetch_sample_into(1, 7, miss));
+  EXPECT_EQ(miss, Bytes(5, 0xee));
+  EXPECT_NEAR(charged(), mb, 1e-12);
+
+  for (const std::size_t size : {4, 6}) {
+    Bytes other(size, 0xee);
+    EXPECT_FALSE(client.fetch_sample_into(1, 42, other));
+    EXPECT_EQ(other, Bytes(size, 0xee));
+  }
+  EXPECT_NEAR(charged(), 3 * mb, 1e-12);
+
+  EXPECT_TRUE(client.fetch_sample(1, 42).has_value());
+  EXPECT_NEAR(charged(), 4 * mb, 1e-12);
+}
+
+std::shared_ptr<const Bytes> serve_only_42(std::uint64_t id) {
+  if (id != 42) return nullptr;
+  return std::make_shared<const Bytes>(Bytes{1, 2, 3, 4, 5});
+}
+
+TEST(SimTransport, FetchSampleIntoHitMissAndWrongSize) {
+  CountingNic client_nic;
+  CountingNic server_nic;
+  auto fabric = std::make_shared<SimFabric>(2);
+  SimTransport client(fabric, 0, &client_nic);
+  SimTransport server(fabric, 1, &server_nic);
+  server.set_serve_handler(serve_only_42);
+  expect_fetch_into_cases(client, [&] { return client_nic.total_transferred_mb(); });
+  EXPECT_DOUBLE_EQ(server_nic.total_transferred_mb(), client_nic.total_transferred_mb());
+
+  // Without a NIC the same bytes land in transferred_mb().
+  auto endpoints = make(2);
+  endpoints[1]->set_serve_handler(serve_only_42);
+  expect_fetch_into_cases(*endpoints[0], [&] { return endpoints[0]->transferred_mb(); });
+}
+
+TEST(FaultTransport, FetchSampleIntoDropsInsideTheWindowAndForwardsOutside) {
+  auto endpoints = make(2);
+  endpoints[1]->set_serve_handler(serve_only_42);
+  scenario::FaultPlan never;
+  never.drops = {{0, 1.0e9, 2.0e9}};
+  FaultTransport up(*endpoints[0], never, 1.0);
+  expect_fetch_into_cases(up, [&] { return up.transferred_mb(); });
+  EXPECT_EQ(up.dropped_fetches(), 0);
+
+  scenario::FaultPlan always;
+  always.drops = {{0, 0.0, 1.0e9}};
+  FaultTransport down(*endpoints[0], always, 1.0);
+  const double before = down.transferred_mb();
+  Bytes out(5, 0xee);
+  EXPECT_FALSE(down.fetch_sample_into(1, 42, out));
+  EXPECT_EQ(out, Bytes(5, 0xee));
+  EXPECT_EQ(down.dropped_fetches(), 1);
+  EXPECT_DOUBLE_EQ(down.transferred_mb(), before);
 }
 
 TEST(SimTransport, WatermarksPropagate) {
@@ -130,8 +219,9 @@ TEST(SimTransport, ConcurrentFetchesAreSafe) {
   auto endpoints = make(kN);
   for (int r = 0; r < kN; ++r) {
     endpoints[r]->set_serve_handler(
-        [r](std::uint64_t id) -> std::optional<Bytes> {
-          return Bytes{static_cast<std::uint8_t>(r), static_cast<std::uint8_t>(id)};
+        [r](std::uint64_t id) {
+          return std::make_shared<const Bytes>(
+              Bytes{static_cast<std::uint8_t>(r), static_cast<std::uint8_t>(id)});
         });
   }
   std::atomic<int> bad{0};
