@@ -47,7 +47,6 @@
 #include "sim/sweep_service.hpp"
 #include "tiers/params.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace nopfs;
 

@@ -440,6 +440,8 @@ int run_sweep(const scenario::Scenario& scn, const Args& args) {
       << "  \"executed_cells\": " << report.stats.executed_cells << ",\n"
       << "  \"completed_cells\": " << report.stats.completed_cells << ",\n"
       << "  \"duplicate_cells\": " << report.stats.duplicate_cells << ",\n"
+      << "  \"grants\": " << report.stats.grants << ",\n"
+      << "  \"regrants\": " << report.stats.regrants << ",\n"
       << "  \"interrupted\": " << (report.stats.interrupted ? "true" : "false")
       << ",\n"
       << "  \"wall_s\": " << report.stats.wall_s << ",\n"

@@ -198,7 +198,7 @@ bool SweepScheduler::interrupted_locked() const {
          completed_count_ >= restored_ + options_.interrupt_after_cells;
 }
 
-SweepScheduler::Range SweepScheduler::grant() {
+SweepScheduler::Range SweepScheduler::grant(int holder) {
   const std::scoped_lock lock(mutex_);
   if (interrupted_locked() || completed_count_ == total_) return {};
   while (cursor_ < total_ && completed_[cursor_] != 0) ++cursor_;
@@ -217,21 +217,33 @@ SweepScheduler::Range SweepScheduler::grant() {
         run);
     const Range range{cursor_, static_cast<std::uint32_t>(size)};
     cursor_ += size;
-    outstanding_.push_back(range);
+    outstanding_.push_back({range, {holder}});
+    ++grants_;
     return range;
   }
-  // Tail: every cell is granted but some are outstanding.  Re-grant the
-  // oldest outstanding range and rotate it to the back, so successive
-  // pulls speculate on DIFFERENT straggler ranges.  Results are pure
-  // functions of the cell, so the duplicate fold is idempotent — and the
-  // grid drains even if the rank holding a range died.
-  if (!outstanding_.empty()) {
-    const Range range = outstanding_.front();
-    outstanding_.erase(outstanding_.begin());
-    outstanding_.push_back(range);
-    return range;
+  // Tail: every cell is granted but some are outstanding.  A rank that
+  // still holds an outstanding range has cells in flight (or unfolded):
+  // it gets nothing, drains, and asks again.  A rank that holds none
+  // re-grants the oldest outstanding range — necessarily another rank's —
+  // which rotates to the back, so successive pulls speculate on different
+  // straggler ranges.  Results are pure functions of the cell, so the
+  // duplicate fold is idempotent, and the grid drains even if the rank
+  // holding a range died.
+  const auto holds = [holder](const Outstanding& entry) {
+    return std::find(entry.holders.begin(), entry.holders.end(), holder) !=
+           entry.holders.end();
+  };
+  if (outstanding_.empty() ||
+      std::any_of(outstanding_.begin(), outstanding_.end(), holds)) {
+    return {};
   }
-  return {};
+  Outstanding entry = std::move(outstanding_.front());
+  outstanding_.erase(outstanding_.begin());
+  entry.holders.push_back(holder);
+  const Range range = entry.range;
+  outstanding_.push_back(std::move(entry));
+  ++regrants_;
+  return range;
 }
 
 void SweepScheduler::submit(std::uint64_t first,
@@ -251,7 +263,8 @@ void SweepScheduler::submit(std::uint64_t first,
     ++completed_count_;
   }
   // Drop outstanding ranges whose every cell completed.
-  std::erase_if(outstanding_, [&](const Range& range) {
+  std::erase_if(outstanding_, [&](const Outstanding& entry) {
+    const Range& range = entry.range;
     for (std::uint64_t i = range.first; i < range.first + range.count; ++i) {
       if (completed_[i] == 0) return false;
     }
@@ -303,6 +316,16 @@ std::uint64_t SweepScheduler::duplicate_cells() const {
   return duplicates_;
 }
 
+std::uint64_t SweepScheduler::grants() const {
+  const std::scoped_lock lock(mutex_);
+  return grants_;
+}
+
+std::uint64_t SweepScheduler::regrants() const {
+  const std::scoped_lock lock(mutex_);
+  return regrants_;
+}
+
 void SweepScheduler::checkpoint_now() {
   const std::scoped_lock lock(mutex_);
   if (options_.checkpoint_path.empty()) return;
@@ -338,6 +361,24 @@ std::vector<SimResult> SweepScheduler::take_results() {
 // ---------------------------------------------------------------------------
 // run_sweep_service
 
+namespace {
+
+/// Answers every pull "done" and drops every result.  Capture-free, so it
+/// can stay installed after the scheduler is gone: rank 0 leaves it in an
+/// elastic world (a straggler's in-flight pull must still be answered) and
+/// when its own loop fails.
+net::Transport::SweepService done_stub() {
+  net::Transport::SweepService stub;
+  stub.on_pull = [](int, net::Bytes pull) -> std::pair<bool, net::Bytes> {
+    const wire::SweepPull request = wire::decode_sweep_pull(pull);
+    return {true, wire::encode_sweep_done({request.seq})};
+  };
+  stub.on_result = [](int, net::Bytes) {};
+  return stub;
+}
+
+}  // namespace
+
 SweepServiceReport run_sweep_service(
     net::Transport* transport, std::uint64_t total_cells,
     const std::function<SimResult(std::uint64_t)>& evaluate,
@@ -359,13 +400,12 @@ SweepServiceReport run_sweep_service(
   SweepServiceReport report;
   report.stats.total_cells = total_cells;
 
-  // Cells of one range run on the local guided thread-pool runner; the
-  // service only decides WHICH rank runs them.
-  const SweepRunner runner(SweepOptions{options.num_threads});
-  const auto evaluate_range = [&](std::uint64_t first, std::uint32_t count) {
-    return runner.run(count,
-                      [&](std::size_t i) { return evaluate(first + i); });
-  };
+  // Every rank works its grants on the cell-pull loop, its threads started
+  // once for the whole call; the service only decides WHICH rank runs a
+  // cell and where its result goes.
+  const int threads = SweepRunner(SweepOptions{options.num_threads}).num_threads();
+  CellPull pull;
+  pull.evaluate = [&evaluate](std::uint64_t i) { return evaluate(i); };
 
   if (rank == 0) {
     SweepScheduler scheduler(total_cells, grid_signature, options, max_workers);
@@ -382,7 +422,7 @@ SweepServiceReport run_sweep_service(
           // (the one with the fresh seq) keeps its grid share moving.
           return {true, wire::encode_sweep_done({request.seq})};
         }
-        const SweepScheduler::Range range = scheduler.grant();
+        const SweepScheduler::Range range = scheduler.grant(from);
         if (range.count == 0) {
           return {true, wire::encode_sweep_done({request.seq})};
         }
@@ -397,78 +437,98 @@ SweepServiceReport run_sweep_service(
       };
       transport->set_sweep_service(std::move(service));
     }
-    // Rank 0 works the grid too, pulling straight from the scheduler.  At
-    // the tail this loop re-executes outstanding remote ranges (grant()'s
-    // speculation), so it exits only once the grid is fully drained — no
-    // separate straggler wait is needed.
-    for (;;) {
-      const SweepScheduler::Range range = scheduler.grant();
-      if (range.count == 0) break;
-      std::vector<SimResult> results = evaluate_range(range.first, range.count);
-      report.stats.executed_cells += range.count;
-      scheduler.submit(range.first, std::move(results));
+    // Rank 0 works the grid too, pulling straight from the scheduler and
+    // folding each cell as it finishes.  An empty grant() while rank 0
+    // still holds a range makes the loop drain and ask again, and a rank
+    // holding nothing is re-granted any range still outstanding, so the
+    // loop returns only once the grid is fully drained — no separate
+    // straggler wait.
+    pull.next_range = [&scheduler] { return scheduler.grant(0); };
+    pull.on_cell = [&scheduler](std::uint64_t cell, SimResult&& result) {
+      std::vector<SimResult> one;
+      one.push_back(std::move(result));
+      scheduler.submit(cell, std::move(one));
+    };
+    try {
+      // A pull that reaches rank 0 before the service is installed is a
+      // protocol error that closes the worker's channel, so workers of a
+      // fixed world pull only after this barrier.
+      if (distributed && !options.elastic) transport->barrier();
+      report.stats.executed_cells = pull_cells(threads, pull);
+      // A worker enters the final barrier only after a pull it sent with
+      // no cell in flight answered done, and that reply orders AFTER the
+      // sender's prior result frames on the same channel — so barrier
+      // completion implies every remote result has been folded.
+      if (distributed && !options.elastic) transport->barrier();
+    } catch (...) {
+      // The installed handlers reference the scheduler this unwinds.
+      if (distributed) transport->set_sweep_service(done_stub());
+      throw;
     }
     if (distributed) {
-      if (options.elastic) {
-        // An elastic world cannot barrier: a worker may have died holding
-        // a grant (its cells were re-granted at the tail), and a late
-        // joiner was never part of the collective count.  Completion
-        // needs no barrier here — the grant loop above exits only once
-        // every cell is folded — but a straggler's in-flight pull must
-        // still be answered, so swap in a capture-free done-stub instead
-        // of withdrawing the service.
-        net::Transport::SweepService stub;
-        stub.on_pull = [](int, net::Bytes pull) -> std::pair<bool, net::Bytes> {
-          const wire::SweepPull request = wire::decode_sweep_pull(pull);
-          return {true, wire::encode_sweep_done({request.seq})};
-        };
-        stub.on_result = [](int, net::Bytes) {};
-        transport->set_sweep_service(std::move(stub));
-      } else {
-        // Workers only enter the barrier after their pull answered done,
-        // and a done reply orders AFTER the sender's prior result frames
-        // on the same channel — so barrier completion implies every
-        // remote result has been folded.
-        transport->barrier();
-        transport->set_sweep_service({});
-      }
+      // An elastic world cannot barrier: a worker may have died holding a
+      // grant (its cells were re-granted at the tail), and a late joiner
+      // was never part of the collective count.  Completion needs no
+      // barrier there — the loop above returns only once every cell is
+      // folded — but a straggler's in-flight pull must still be answered,
+      // so the done-stub replaces the service instead of withdrawing it.
+      transport->set_sweep_service(options.elastic ? done_stub()
+                                                   : net::Transport::SweepService{});
     }
     scheduler.checkpoint_now();
     report.stats.interrupted = scheduler.interrupted();
     report.stats.completed_cells = scheduler.completed_cells();
     report.stats.duplicate_cells = scheduler.duplicate_cells();
+    report.stats.grants = scheduler.grants();
+    report.stats.regrants = scheduler.regrants();
     report.results = scheduler.take_results();
   } else {
+    // Pulls run on one thread at a time (the loop's fetching thread), so
+    // the pull seq rises monotonically on the wire.
     std::uint32_t pull_seq = 0;
-    std::uint32_t result_seq = 0;
-    int completed_pulls = 0;
-    for (;;) {
-      const auto reply =
-          transport->sweep_pull(wire::encode_sweep_pull({++pull_seq}));
+    int granted_pulls = 0;
+    bool gone = false;  // rank 0 lost (elastic) or scripted death
+    pull.next_range = [&]() -> CellRange {
+      if (gone) return {};
+      const auto reply = transport->sweep_pull(wire::encode_sweep_pull({++pull_seq}));
       if (!reply.has_value()) {
         // Rank 0 unreachable.  In an elastic world that is an expected
         // membership event (the sweep finished and rank 0 moved on);
-        // everything this worker computed has already been pushed.
-        if (options.elastic) break;
-        throw std::runtime_error("sweep service: lost rank 0 mid-sweep");
+        // everything this worker finished has already been pushed.
+        if (!options.elastic) {
+          throw std::runtime_error("sweep service: lost rank 0 mid-sweep");
+        }
+        gone = true;
+        return {};
       }
-      if (reply->first) break;  // kSweepDone
+      if (reply->first) return {};  // kSweepDone
       if (options.abandon_after_pulls > 0 &&
-          completed_pulls >= options.abandon_after_pulls) {
+          granted_pulls >= options.abandon_after_pulls) {
         // Scripted mid-sweep death: this grant is never evaluated or
         // reported — rank 0's tail re-grants recover its cells, and the
         // results digest must come out bit-identical regardless.
-        break;
+        gone = true;
+        return {};
       }
+      ++granted_pulls;
       const wire::SweepGrant grant = wire::decode_sweep_grant(reply->second);
+      return {grant.first, grant.count};
+    };
+    // A grant's batch goes out when its last cell finishes.  Batches of
+    // different grants finish on different threads; the lock keeps the
+    // result seq in send order.
+    std::mutex push_mutex;
+    std::uint32_t result_seq = 0;
+    pull.on_range = [&](const CellRange& range, std::vector<SimResult>&& results) {
+      const std::scoped_lock lock(push_mutex);
       wire::SweepResultBatch batch;
       batch.seq = ++result_seq;
-      batch.first = grant.first;
-      batch.results = evaluate_range(grant.first, grant.count);
-      report.stats.executed_cells += grant.count;
+      batch.first = range.first;
+      batch.results = std::move(results);
       transport->sweep_push_result(wire::encode_sweep_result_batch(batch));
-      ++completed_pulls;
-    }
+    };
+    if (!options.elastic) transport->barrier();  // rank 0's service is installed
+    report.stats.executed_cells = pull_cells(threads, pull);
     if (!options.elastic) transport->barrier();
   }
   report.stats.wall_s =

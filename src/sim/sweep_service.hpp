@@ -2,14 +2,18 @@
 // Distributed work-stealing sweep service (DESIGN.md Sec. 10).
 //
 // Promotes the local SweepRunner to a job: rank 0 owns the cell grid and
-// hands out contiguous cell ranges on demand (a pull model — idle workers
-// ask, rank 0 grants sweep_grant_size() cells, shrinking toward the tail),
-// workers evaluate their range on the local thread-pool runner and stream
-// the SimResults back as wire::SweepResultBatch frames.  Rank 0 folds every
-// batch into the grid slot of its flat cell index, so the output is in
-// submission order — bit-identical to the serial SweepRunner no matter
-// which rank computed a cell (the determinism contract, DESIGN.md Sec. 6.1,
-// extended over the wire by the bit-exact SimResult codec).
+// hands out contiguous cell ranges on demand (a pull model — a rank asks,
+// rank 0 grants sweep_grant_size() cells, shrinking toward the tail).
+// Every rank works its grants on the cell-pull loop (pull_cells): its
+// threads take one cell at a time from the current grant, and the thread
+// that finds it empty fetches the next grant while the others keep
+// working.  Rank 0 folds each cell as it finishes; other ranks stream a
+// grant's SimResults back as one wire::SweepResultBatch frame when its last
+// cell finishes.  Rank 0 folds every result into the grid slot of its flat
+// cell index, so the output is in submission order — bit-identical to the
+// serial SweepRunner no matter which rank computed a cell (the determinism
+// contract, DESIGN.md Sec. 6.1, extended over the wire by the bit-exact
+// SimResult codec).
 //
 // Rank 0 checkpoints sweep state (completed-cell bitmap + serialized
 // results, net/wire encoding, temp-file + rename) every
@@ -66,10 +70,11 @@ struct SweepServiceOptions {
   /// transport world size.  Must match the transport's max_world.
   int max_workers = 0;
   /// Worker-side fault injection emulating a mid-sweep death
-  /// deterministically: after this many granted-and-reported pulls, the
-  /// worker takes ONE more grant and vanishes without evaluating or
-  /// reporting it — the cells it held are recovered by rank 0's tail
-  /// re-grants.  Requires elastic (a dead worker cannot barrier).  0 = off.
+  /// deterministically: after this many granted pulls, the worker takes
+  /// ONE more grant and vanishes without evaluating or reporting it (the
+  /// grants it already held still finish and report) — the cells of the
+  /// dropped grant are recovered by rank 0's tail re-grants.  Requires
+  /// elastic (a dead worker cannot barrier).  0 = off.
   int abandon_after_pulls = 0;
 };
 
@@ -81,6 +86,8 @@ struct SweepServiceStats {
   /// Rank 0: result cells that arrived for an already-completed slot
   /// (tail re-grants, duplicated frames).  Folded idempotently.
   std::uint64_t duplicate_cells = 0;
+  std::uint64_t grants = 0;    ///< rank 0: ranges granted from the cursor
+  std::uint64_t regrants = 0;  ///< rank 0: speculative tail re-grants
   bool interrupted = false;           ///< stopped by interrupt_after_cells
   double wall_s = 0.0;
 };
@@ -100,10 +107,8 @@ struct SweepServiceReport {
 /// run_sweep_service().
 class SweepScheduler {
  public:
-  struct Range {
-    std::uint64_t first = 0;
-    std::uint32_t count = 0;  ///< 0 = nothing to grant (done or interrupted)
-  };
+  /// count == 0: nothing to grant to this rank (see grant()).
+  using Range = CellRange;
 
   SweepScheduler(std::uint64_t total_cells, std::uint64_t grid_signature,
                  SweepServiceOptions options, int workers);
@@ -114,14 +119,16 @@ class SweepScheduler {
   /// number of restored cells.
   std::uint64_t load_checkpoint();
 
-  /// Grants the next range: a contiguous run of never-granted cells sized
-  /// by sweep_grant_size(), skipping restored cells.  When every cell has
-  /// been granted but some are still outstanding, re-grants the oldest
-  /// outstanding range (speculative tail execution: results are pure
-  /// functions of the cell, so duplicates fold idempotently) — the grid
-  /// drains even if a worker dies holding a range.  count == 0 means stop
-  /// pulling (done or interrupted).
-  [[nodiscard]] Range grant();
+  /// Grants rank `holder` the next range: a contiguous run of
+  /// never-granted cells sized by sweep_grant_size(), skipping restored
+  /// cells.  When every cell has been granted but some are still
+  /// outstanding, a `holder` that holds none of them gets the oldest one
+  /// re-granted (speculative tail execution: results are pure functions
+  /// of the cell, so duplicates fold idempotently) — the grid drains even
+  /// if a worker dies holding a range, and a rank never runs a cell twice.
+  /// count == 0 means nothing for `holder` now: done, interrupted, or it
+  /// still holds an outstanding range (ask again once it is folded).
+  [[nodiscard]] Range grant(int holder);
 
   /// Folds `results` for cells [first, first + results.size()).  First
   /// write to a slot wins; later duplicates are counted and dropped.
@@ -143,6 +150,8 @@ class SweepScheduler {
     return restored_;
   }
   [[nodiscard]] std::uint64_t duplicate_cells() const;
+  [[nodiscard]] std::uint64_t grants() const;
+  [[nodiscard]] std::uint64_t regrants() const;
 
   /// Final checkpoint write (no cadence check); no-op without a path.
   void checkpoint_now();
@@ -165,9 +174,16 @@ class SweepScheduler {
   std::uint64_t completed_count_ = 0;
   std::uint64_t restored_ = 0;
   std::uint64_t duplicates_ = 0;
+  std::uint64_t grants_ = 0;
+  std::uint64_t regrants_ = 0;
   std::uint64_t cursor_ = 0;  ///< next never-granted cell
-  /// Granted-but-incomplete ranges, oldest first (tail re-grant order).
-  std::vector<Range> outstanding_;
+  /// A granted-but-incomplete range and the ranks it was granted to.
+  struct Outstanding {
+    Range range;
+    std::vector<int> holders;
+  };
+  /// Oldest first (tail re-grant order).
+  std::vector<Outstanding> outstanding_;
   std::uint64_t last_checkpoint_at_ = 0;
   std::vector<std::uint32_t> last_pull_seq_;    ///< per-rank seq guards
   std::vector<std::uint32_t> last_result_seq_;
@@ -189,9 +205,9 @@ class SweepScheduler {
 /// 1-rank world): the run stays in-process but keeps the scheduler path,
 /// including checkpoint/resume.  With a world, every rank of the world
 /// must call this collectively; rank 0 serves grants from the scheduler
-/// while also working the grid itself, other ranks loop pull → evaluate →
-/// push until told done.  Rank 0 returns the full ordered results; other
-/// ranks return an empty grid.
+/// while also working the grid itself, other ranks pull grants and push
+/// their results until told done.  Rank 0 returns the full ordered
+/// results; other ranks return an empty grid.
 [[nodiscard]] SweepServiceReport run_sweep_service(
     net::Transport* transport, const std::vector<SweepPoint>& points,
     const SweepServiceOptions& options = {});

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <memory>
+#include <mutex>
 #include <thread>
+#include <unordered_set>
 
 #include "core/job.hpp"
 #include "data/materialize.hpp"
@@ -135,6 +140,67 @@ TEST(Job, MultiWorkerExactPartitionAndContent) {
   }
 }
 
+/// Holds every read of a sample that no rank plans to cache until each
+/// planned sample has been read once.  A rank's stream soon reaches such a
+/// sample, so its staging path waits there until the peers' class
+/// prefetchers have filled their planned caches: whether a remote fetch
+/// can hit no longer depends on which thread the OS ran first.  The wait
+/// is bounded; a gate that had to give up reports it.
+class PlanGate final : public SampleSource {
+ public:
+  explicit PlanGate(SampleSource& inner) : inner_(inner) {}
+
+  /// Call before any job starts.
+  void set_planned(std::unordered_set<data::SampleId> planned) {
+    const std::scoped_lock lock(mutex_);
+    planned_ = planned;
+    unread_ = std::move(planned);
+  }
+
+  Bytes read(int worker, data::SampleId id) override {
+    hold(id);
+    Bytes bytes = inner_.read(worker, id);
+    mark_read(id);
+    return bytes;
+  }
+
+  void read_into(int worker, data::SampleId id, std::span<std::uint8_t> out) override {
+    hold(id);
+    inner_.read_into(worker, id, out);
+    mark_read(id);
+  }
+
+  [[nodiscard]] double size_mb(data::SampleId id) const override {
+    return inner_.size_mb(id);
+  }
+
+  [[nodiscard]] bool gave_up() const {
+    const std::scoped_lock lock(mutex_);
+    return gave_up_;
+  }
+
+ private:
+  void hold(data::SampleId id) {
+    std::unique_lock lock(mutex_);
+    if (planned_.contains(id)) return;
+    const bool opened =
+        opened_.wait_for(lock, std::chrono::seconds(30), [&] { return unread_.empty(); });
+    if (!opened) gave_up_ = true;
+  }
+
+  void mark_read(data::SampleId id) {
+    const std::scoped_lock lock(mutex_);
+    if (unread_.erase(id) != 0 && unread_.empty()) opened_.notify_all();
+  }
+
+  SampleSource& inner_;
+  mutable std::mutex mutex_;
+  std::condition_variable opened_;
+  std::unordered_set<data::SampleId> planned_;
+  std::unordered_set<data::SampleId> unread_;
+  bool gave_up_ = false;
+};
+
 TEST(Job, MultiWorkerUsesRemoteFetches) {
   constexpr int kN = 2;
   const auto dataset = small_dataset(128);
@@ -144,18 +210,32 @@ TEST(Job, MultiWorkerUsesRemoteFetches) {
   // samples cold here are hot, and thus planned, on the other worker).
   auto system = small_system(kN, /*ram_mb=*/0.1);
   system.pfs.agg_read_mbps = util::ThroughputCurve({{1, 1}, {4, 2}});
-  SyntheticPfsSource source(dataset, nullptr);
+  SyntheticPfsSource pfs(dataset, nullptr);
+  PlanGate source(pfs);
   auto transports = net::make_sim_transports(kN);
+
+  std::vector<std::unique_ptr<Job>> jobs;
+  std::unordered_set<data::SampleId> planned;
+  for (int rank = 0; rank < kN; ++rank) {
+    JobOptions options = options_with(4, 16);
+    // Ablation switch doubles as a determinism aid here: without the
+    // watermark gate, remote readiness does not depend on thread timing.
+    options.router.use_watermark_heuristic = false;
+    jobs.push_back(std::make_unique<Job>(dataset, system, rank, options, source,
+                                         transports[rank].get()));
+    const CachePlan plan = compute_cache_plan(
+        AccessStreamGenerator(jobs.back()->stream_config()), rank, dataset, system.node);
+    for (const auto& [sample, cls] : plan.class_of) planned.insert(sample);
+  }
+  ASSERT_FALSE(planned.empty());
+  ASSERT_LT(planned.size(), dataset.num_samples());  // some samples pass the gate
+  source.set_planned(std::move(planned));
 
   std::vector<JobStats> stats(kN);
   std::vector<std::thread> threads;
   for (int rank = 0; rank < kN; ++rank) {
     threads.emplace_back([&, rank] {
-      JobOptions options = options_with(4, 16);
-      // Ablation switch doubles as a determinism aid here: without the
-      // watermark gate, remote readiness does not depend on thread timing.
-      options.router.use_watermark_heuristic = false;
-      Job job(dataset, system, rank, options, source, transports[rank].get());
+      Job& job = *jobs[rank];
       job.start();
       while (auto sample = job.next()) {
       }
@@ -164,6 +244,7 @@ TEST(Job, MultiWorkerUsesRemoteFetches) {
     });
   }
   for (auto& thread : threads) thread.join();
+  EXPECT_FALSE(source.gave_up()) << "a planned sample was never read";
 
   std::uint64_t remote_total = 0;
   std::uint64_t pfs_total = 0;

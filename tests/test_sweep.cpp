@@ -1,19 +1,22 @@
 // Tests for the parallel sweep engine: results must be independent of the
 // thread count (the DESIGN.md Sec. 6.1 determinism contract), returned in
 // submission order, and identical to direct serial simulate() calls.  Also
-// covers the underlying util::ThreadPool.
+// covers the underlying cell-pull loop (pull_cells).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <chrono>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
 
 #include "sim/policies.hpp"
 #include "sim/sweep.hpp"
 #include "sim_result_testutil.hpp"
 #include "tiers/params.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nopfs::sim {
 namespace {
@@ -121,85 +124,162 @@ TEST(SweepRunner, GenericEvaluatorVariant) {
   EXPECT_EQ(results[1].policy, "NoPFS");
 }
 
-TEST(ThreadPool, RunIndexedCoversAllIndicesOnce) {
-  util::ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
+// ---------------------------------------------------------------------------
+// The cell-pull loop
+
+SimResult tagged(std::uint64_t i) {
+  SimResult result;
+  result.policy = "cell-" + std::to_string(i);
+  return result;
+}
+
+/// A source handing out `ranges` in order, then empty answers.
+std::function<CellRange()> range_source(std::vector<CellRange> ranges) {
+  auto next = std::make_shared<std::size_t>(0);
+  return [ranges = std::move(ranges), next]() -> CellRange {
+    return *next < ranges.size() ? ranges[(*next)++] : CellRange{};
+  };
+}
+
+TEST(PullCells, CoversEveryCellOfEveryRangeOnce) {
   std::vector<std::atomic<int>> touched(257);
-  pool.run_indexed(touched.size(), [&](std::size_t i) {
+  CellPull pull;
+  pull.next_range = range_source({{0, 100}, {100, 1}, {101, 156}});
+  pull.evaluate = [&](std::uint64_t i) {
     touched[i].fetch_add(1, std::memory_order_relaxed);
-  });
+    return tagged(i);
+  };
+  std::vector<std::string> seen(touched.size());
+  pull.on_cell = [&](std::uint64_t i, SimResult&& result) { seen[i] = result.policy; };
+  EXPECT_EQ(pull_cells(4, pull), touched.size());
   for (std::size_t i = 0; i < touched.size(); ++i) {
-    EXPECT_EQ(touched[i].load(), 1) << "index " << i;
+    EXPECT_EQ(touched[i].load(), 1) << "cell " << i;
+    EXPECT_EQ(seen[i], "cell-" + std::to_string(i));
   }
 }
 
-TEST(ThreadPool, InlineWhenSingleThreaded) {
-  util::ThreadPool pool(1);
+TEST(PullCells, RangeSinkGetsEachRangeInCellOrderOnce) {
+  std::mutex mutex;
+  std::vector<std::pair<std::uint64_t, std::vector<SimResult>>> batches;
+  CellPull pull;
+  pull.next_range = range_source({{10, 7}, {40, 1}, {50, 30}});
+  pull.evaluate = tagged;
+  pull.on_range = [&](const CellRange& range, std::vector<SimResult>&& results) {
+    const std::scoped_lock lock(mutex);
+    EXPECT_EQ(results.size(), range.count);
+    batches.emplace_back(range.first, std::move(results));
+  };
+  EXPECT_EQ(pull_cells(3, pull), 38u);
+  ASSERT_EQ(batches.size(), 3u);
+  std::sort(batches.begin(), batches.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [first, results] : batches) {
+    for (std::size_t k = 0; k < results.size(); ++k) {
+      EXPECT_EQ(results[k].policy, "cell-" + std::to_string(first + k));
+    }
+  }
+}
+
+TEST(PullCells, InlineWhenSingleThreaded) {
   const auto main_id = std::this_thread::get_id();
   std::thread::id seen;
-  pool.run_indexed(1, [&](std::size_t) { seen = std::this_thread::get_id(); });
-  EXPECT_EQ(seen, main_id);  // no worker threads: tasks run on the caller
+  CellPull pull;
+  pull.next_range = range_source({{0, 1}});
+  pull.evaluate = [&](std::uint64_t i) {
+    seen = std::this_thread::get_id();
+    return tagged(i);
+  };
+  pull.on_cell = [](std::uint64_t, SimResult&&) {};
+  EXPECT_EQ(pull_cells(1, pull), 1u);
+  EXPECT_EQ(seen, main_id);  // no helper threads: cells run on the caller
 }
 
-TEST(ThreadPool, RethrowsFirstException) {
-  util::ThreadPool pool(4);
-  std::atomic<int> completed{0};
-  try {
-    pool.run_indexed(64, [&](std::size_t i) {
-      if (i == 13) throw std::runtime_error("boom");
-      completed.fetch_add(1, std::memory_order_relaxed);
-    });
-    FAIL() << "expected exception";
-  } catch (const std::runtime_error& error) {
-    EXPECT_STREQ(error.what(), "boom");
+TEST(PullCells, EmptyAnswerWithCellsInFlightIsAskedAgainAfterTheDrain) {
+  if (std::thread::hardware_concurrency() <= 1) {
+    GTEST_SKIP() << "one hardware thread: the loop runs inline";
   }
-  // All other tasks still ran: the pool drains before rethrowing.
-  EXPECT_EQ(completed.load(), 63);
-}
-
-TEST(ThreadPool, InlinePathAlsoDrainsBeforeRethrowing) {
-  // The num_threads <= 1 inline path must honor the same contract as the
-  // pooled path: every index runs, first exception rethrown at the end.
-  util::ThreadPool pool(1);
-  std::atomic<int> completed{0};
-  try {
-    pool.run_indexed(16, [&](std::size_t i) {
-      if (i == 3) throw std::runtime_error("inline-boom");
-      completed.fetch_add(1, std::memory_order_relaxed);
-    });
-    FAIL() << "expected exception";
-  } catch (const std::runtime_error& error) {
-    EXPECT_STREQ(error.what(), "inline-boom");
-  }
-  EXPECT_EQ(completed.load(), 15);
-}
-
-TEST(ThreadPool, SubmitExceptionRethrownFromWaitIdle) {
-  // A throwing task submitted directly (not via run_indexed) must not
-  // std::terminate the worker; wait_idle() reports it — for any pool size.
-  for (const int threads : {1, 4}) {
-    util::ThreadPool pool(threads);
-    pool.submit([] { throw std::runtime_error("submit-boom"); });
-    pool.submit([] {});  // later tasks still run
-    try {
-      pool.wait_idle();
-      FAIL() << "expected exception (threads=" << threads << ")";
-    } catch (const std::runtime_error& error) {
-      EXPECT_STREQ(error.what(), "submit-boom");
+  // Cell 0 stays in flight until the source has answered empty once; the
+  // source then offers one more range.  The loop must drain cell 0, ask
+  // again, and run that range too; an empty answer given with no cell in
+  // flight ends it.
+  std::atomic<int> in_flight{0};
+  std::atomic<int> asks{0};
+  std::vector<int> in_flight_at_ask;  // written by one fetching thread at a time
+  CellPull pull;
+  const auto wait_until = [](const auto& done) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    pool.wait_idle();  // error was consumed: next wait is clean
+  };
+  pull.next_range = [&]() -> CellRange {
+    // The thread asking the second time is not the one holding cell 0;
+    // answer once that cell has started.
+    if (asks.load() == 1) wait_until([&] { return in_flight.load() == 1; });
+    in_flight_at_ask.push_back(in_flight.load());
+    switch (asks.fetch_add(1)) {
+      case 0: return {0, 1};
+      case 1: return {};
+      case 2: return {1, 2};
+      default: return {};
+    }
+  };
+  pull.evaluate = [&](std::uint64_t i) {
+    in_flight.fetch_add(1);
+    if (i == 0) wait_until([&] { return asks.load() >= 2; });
+    in_flight.fetch_sub(1);
+    return tagged(i);
+  };
+  pull.on_cell = [](std::uint64_t, SimResult&&) {};
+  EXPECT_EQ(pull_cells(2, pull), 3u);
+  ASSERT_GE(in_flight_at_ask.size(), 4u);
+  EXPECT_EQ(in_flight_at_ask[1], 1);  // the empty answer came mid-cell
+  EXPECT_EQ(in_flight_at_ask[2], 0);  // asked again only after the drain
+  EXPECT_EQ(in_flight_at_ask.back(), 0);
+}
+
+TEST(PullCells, RethrowsTheFirstExceptionAfterTheDrain) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::atomic<int> started{0};
+    std::atomic<int> finished{0};
+    CellPull pull;
+    pull.next_range = range_source({{0, 64}});
+    pull.evaluate = [&](std::uint64_t i) {
+      started.fetch_add(1);
+      if (i == 0) throw std::runtime_error("boom");
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      finished.fetch_add(1);
+      return tagged(i);
+    };
+    pull.on_cell = [](std::uint64_t, SimResult&&) {};
+    try {
+      (void)pull_cells(threads, pull);
+      FAIL() << "expected exception";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "boom");
+    }
+    // Every cell that started finished before the rethrow, and the loop
+    // took no cell after it saw the failure.
+    EXPECT_EQ(finished.load(), started.load() - 1);
+    EXPECT_LT(started.load(), 64);
   }
 }
 
-TEST(ThreadPool, ReusableAcrossRuns) {
-  util::ThreadPool pool(3);
-  std::atomic<std::uint64_t> sum{0};
-  for (int round = 0; round < 5; ++round) {
-    pool.run_indexed(100, [&](std::size_t i) {
-      sum.fetch_add(i, std::memory_order_relaxed);
-    });
-  }
-  EXPECT_EQ(sum.load(), 5u * (99u * 100u / 2u));
+TEST(PullCells, SinkAndSourceExceptionsAreRethrownToo) {
+  CellPull pull;
+  pull.next_range = range_source({{0, 8}});
+  pull.evaluate = tagged;
+  pull.on_range = [](const CellRange&, std::vector<SimResult>&&) {
+    throw std::runtime_error("sink");
+  };
+  EXPECT_THROW((void)pull_cells(4, pull), std::runtime_error);
+
+  CellPull failing_source;
+  failing_source.next_range = []() -> CellRange { throw std::runtime_error("source"); };
+  failing_source.evaluate = tagged;
+  failing_source.on_cell = [](std::uint64_t, SimResult&&) {};
+  EXPECT_THROW((void)pull_cells(4, failing_source), std::runtime_error);
 }
 
 }  // namespace

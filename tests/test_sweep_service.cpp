@@ -3,8 +3,9 @@
 // guided grants cover the grid exactly once (with idempotent duplicate
 // folds at the tail), checkpoints survive a round-trip and reject foreign
 // grids, a 1-rank service run is bit-identical to the local SweepRunner,
-// a 3-rank socket world matches the serial digest, and an interrupted
-// sweep resumes bit-identically without re-executing any completed cell.
+// a 3-rank socket world matches the serial digest, an interrupted sweep
+// resumes bit-identically without re-executing any completed cell, and no
+// sweep thread waits on another thread's straggler cell.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +13,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -158,42 +161,66 @@ TEST(SweepGrantSize, ShrinksTowardTheTail) {
   EXPECT_EQ(sweep_grant_size(10, 0), 5u);      // workers clamped to >= 1
 }
 
-TEST(SweepScheduler, GrantsCoverGridOnceThenRegrantOutstanding) {
+std::vector<SimResult> range_results(const SweepScheduler::Range& range) {
+  std::vector<SimResult> results;
+  for (std::uint64_t i = range.first; i < range.first + range.count; ++i) {
+    results.push_back(cell_result(i));
+  }
+  return results;
+}
+
+TEST(SweepScheduler, GrantsCoverGridOnceThenRegrantToRanksHoldingNothing) {
   SweepScheduler scheduler(20, 0x5157u, {}, 2);
   std::vector<SweepScheduler::Range> granted;
   std::uint64_t covered = 0;
   while (covered < 20) {
-    const auto range = scheduler.grant();
+    const auto range = scheduler.grant(0);
     ASSERT_GT(range.count, 0u);
     EXPECT_EQ(range.first, covered);  // contiguous, in order, no overlap
     covered += range.count;
     granted.push_back(range);
   }
-  // Everything granted, nothing submitted: the tail re-grants the OLDEST
-  // outstanding range first, rotating so successive pulls speculate on
-  // different ranges.
-  const auto regrant1 = scheduler.grant();
+  ASSERT_GE(granted.size(), 2u);
+  // Everything granted to rank 0, nothing submitted: rank 0 holds
+  // outstanding ranges (its own cells in flight), so it gets nothing.
+  EXPECT_EQ(scheduler.grant(0).count, 0u);
+  // A rank holding nothing re-grants the OLDEST outstanding range, then
+  // gets nothing until that range is folded; the next re-grant is the
+  // next-oldest, so successive pulls speculate on different ranges.
+  const auto regrant1 = scheduler.grant(1);
   EXPECT_EQ(regrant1.first, granted[0].first);
   EXPECT_EQ(regrant1.count, granted[0].count);
-  const auto regrant2 = scheduler.grant();
+  EXPECT_EQ(scheduler.grant(1).count, 0u);
+  scheduler.submit(regrant1.first, range_results(regrant1));
+  const auto regrant2 = scheduler.grant(1);
   EXPECT_EQ(regrant2.first, granted[1].first);
+  EXPECT_EQ(scheduler.grants(), granted.size());
+  EXPECT_EQ(scheduler.regrants(), 2u);
 
-  for (const auto& range : granted) {
-    std::vector<SimResult> results;
-    for (std::uint64_t i = range.first; i < range.first + range.count; ++i) {
-      results.push_back(cell_result(i));
-    }
-    scheduler.submit(range.first, std::move(results));
-  }
+  for (const auto& range : granted) scheduler.submit(range.first, range_results(range));
   EXPECT_TRUE(scheduler.done());
   EXPECT_EQ(scheduler.completed_cells(), 20u);
-  EXPECT_EQ(scheduler.duplicate_cells(), 0u);
-  EXPECT_EQ(scheduler.grant().count, 0u);  // done: stop pulling
+  EXPECT_EQ(scheduler.duplicate_cells(), granted[0].count);  // rank 0's copy
+  EXPECT_EQ(scheduler.grant(1).count, 0u);  // done: stop pulling
+}
+
+TEST(SweepScheduler, RankHoldingNothingSpeculatesOnAnotherRanksRange) {
+  SweepScheduler scheduler(6, 2, {}, 2);
+  const auto a = scheduler.grant(0);
+  const auto b = scheduler.grant(1);
+  ASSERT_EQ(a.first + a.count, b.first);
+  std::uint64_t covered = b.first + b.count;
+  while (covered < 6) covered += scheduler.grant(1).count;
+  scheduler.submit(a.first, range_results(a));
+  // Rank 0's range is folded; what is left is rank 1's, so rank 0
+  // speculates on its oldest range and rank 1 gets nothing.
+  EXPECT_EQ(scheduler.grant(1).count, 0u);
+  EXPECT_EQ(scheduler.grant(0).first, b.first);
 }
 
 TEST(SweepScheduler, DuplicateSubmitsFoldIdempotently) {
   SweepScheduler scheduler(6, 1, {}, 2);
-  const auto a = scheduler.grant();
+  const auto a = scheduler.grant(0);
   ASSERT_GT(a.count, 0u);
   std::vector<SimResult> results;
   for (std::uint64_t i = a.first; i < a.first + a.count; ++i) {
@@ -243,7 +270,7 @@ TEST(SweepCheckpoint, RoundTripRestoresCompletedCells) {
   // exactly the other six.
   std::vector<bool> granted(10, false);
   for (;;) {
-    const auto range = reader.grant();
+    const auto range = reader.grant(0);
     if (range.count == 0) break;
     std::vector<SimResult> results;
     for (std::uint64_t i = range.first; i < range.first + range.count; ++i) {
@@ -384,7 +411,7 @@ TEST(SweepService, OneRankMatchesLocalSweepRunnerBitForBit) {
   EXPECT_EQ(sweep_results_digest(report.results), sweep_results_digest(expected));
 }
 
-TEST(SweepService, ThreeRankSocketWorldMatchesSerialDigest) {
+void three_rank_socket_world(int threads) {
   constexpr std::uint64_t kCells = 30;
   constexpr int kWorld = 3;
   const std::uint64_t signature = 0x515701u;
@@ -409,7 +436,7 @@ TEST(SweepService, ThreeRankSocketWorldMatchesSerialDigest) {
         options.timeout_s = 60.0;
         net::SocketTransport transport(options);
         SweepServiceOptions service;
-        service.num_threads = 1;
+        service.num_threads = threads;
         reports[static_cast<std::size_t>(r)] = run_sweep_service(
             &transport, kCells, evaluate, signature, service);
       } catch (const std::exception& ex) {
@@ -445,7 +472,16 @@ TEST(SweepService, ThreeRankSocketWorldMatchesSerialDigest) {
   }
 }
 
-TEST(SweepService, InterruptThenResumeIsBitIdenticalWithZeroReexecution) {
+TEST(SweepService, ThreeRankSocketWorldMatchesSerialDigest) {
+  // At 4 threads a rank pulls its next grant while its other threads
+  // still work the last one, and its batches finish out of grant order.
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    three_rank_socket_world(threads);
+  }
+}
+
+void interrupt_then_resume(int threads) {
   constexpr std::uint64_t kCells = 24;
   const std::string path = temp_checkpoint("resume");
   std::remove(path.c_str());
@@ -460,7 +496,7 @@ TEST(SweepService, InterruptThenResumeIsBitIdenticalWithZeroReexecution) {
   };
 
   SweepServiceOptions options;
-  options.num_threads = 1;
+  options.num_threads = threads;
   options.checkpoint_path = path;
   options.checkpoint_every_cells = 4;
   options.interrupt_after_cells = 9;  // the deterministic mid-sweep "kill"
@@ -495,6 +531,86 @@ TEST(SweepService, InterruptThenResumeIsBitIdenticalWithZeroReexecution) {
   EXPECT_EQ(sweep_results_digest(resumed.results),
             sweep_results_digest(expected));
   std::remove(path.c_str());
+}
+
+
+TEST(SweepService, InterruptThenResumeIsBitIdenticalWithZeroReexecution) {
+  // At 4 threads the cells still in flight when the interrupt fires are
+  // folded before the final checkpoint, or the resume would re-run them.
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    interrupt_then_resume(threads);
+  }
+}
+
+TEST(SweepService, NoThreadWaitsOnAnotherThreadsStraggler) {
+  if (std::thread::hardware_concurrency() <= 1) {
+    GTEST_SKIP() << "one hardware thread: the sweep runs inline";
+  }
+  // World of one, 4 threads.  Cell 0 is a straggler that finishes only
+  // once the LAST cell of the grid has: no other thread may wait for it,
+  // so the rest of the grid — later grants included — runs meanwhile.
+  constexpr std::uint64_t kCells = 64;
+  std::vector<std::atomic<int>> executions(kCells);
+  std::mutex mutex;
+  std::condition_variable last_done_cv;
+  bool last_done = false;
+  bool straggler_saw_last = false;
+  const auto evaluate = [&](std::uint64_t i) {
+    executions[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+    if (i == 0) {
+      std::unique_lock lock(mutex);
+      straggler_saw_last = last_done_cv.wait_for(lock, std::chrono::seconds(10),
+                                                 [&] { return last_done; });
+    } else if (i == kCells - 1) {
+      const std::scoped_lock lock(mutex);
+      last_done = true;
+      last_done_cv.notify_all();
+    }
+    return cell_result(i);
+  };
+  SweepServiceOptions options;
+  options.num_threads = 4;
+  const SweepServiceReport report =
+      run_sweep_service(nullptr, kCells, evaluate, 0x515703u, options);
+  EXPECT_TRUE(straggler_saw_last) << "the last cell waited behind cell 0";
+  // Every cell ran exactly once: a world of one never speculates on its
+  // own cells in flight.
+  for (std::uint64_t i = 0; i < kCells; ++i) {
+    EXPECT_EQ(executions[static_cast<std::size_t>(i)].load(), 1) << "cell " << i;
+  }
+  EXPECT_EQ(report.stats.executed_cells, kCells);
+  EXPECT_EQ(report.stats.completed_cells, kCells);
+  EXPECT_EQ(report.stats.duplicate_cells, 0u);
+  EXPECT_EQ(report.stats.regrants, 0u);
+  EXPECT_GT(report.stats.grants, 1u);
+  EXPECT_EQ(sweep_results_digest(report.results),
+            sweep_results_digest(direct_results(kCells)));
+}
+
+TEST(SweepService, ThrowingCellIsRethrownAfterTheDrain) {
+  // 4 threads: the failing cell's exception leaves run_sweep_service only
+  // after the cells in flight on the other threads finished — no hang, no
+  // std::terminate from an exception escaping a thread.
+  constexpr std::uint64_t kCells = 32;
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  const auto evaluate = [&](std::uint64_t i) {
+    started.fetch_add(1);
+    if (i == 5) throw std::runtime_error("cell 5 failed");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    finished.fetch_add(1);
+    return cell_result(i);
+  };
+  SweepServiceOptions options;
+  options.num_threads = 4;
+  try {
+    (void)run_sweep_service(nullptr, kCells, evaluate, 0x515704u, options);
+    FAIL() << "expected the cell's exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "cell 5 failed");
+  }
+  EXPECT_EQ(finished.load(), started.load() - 1);
 }
 
 }  // namespace
