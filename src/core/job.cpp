@@ -109,7 +109,7 @@ void Job::start() {
   staging_prefetcher_ = std::make_unique<StagingPrefetcher>(
       stream_, dataset_, *staging_, *router_, devices_,
       system_.node.preprocess_mbps, options_.time_scale,
-      system_.node.staging.prefetch_threads, transport_);
+      system_.node.staging.prefetch_threads);
 
   for (auto& prefetcher : class_prefetchers_) prefetcher->start();
   staging_prefetcher_->start();

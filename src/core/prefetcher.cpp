@@ -75,7 +75,7 @@ StagingPrefetcher::StagingPrefetcher(const std::vector<data::SampleId>& stream,
                                      const data::Dataset& dataset, StagingBuffer& buffer,
                                      FetchRouter& router, tiers::WorkerDevices* devices,
                                      double preprocess_mbps, double time_scale,
-                                     int num_threads, net::Transport* transport)
+                                     int num_threads)
     : stream_(stream),
       dataset_(dataset),
       buffer_(buffer),
@@ -83,8 +83,7 @@ StagingPrefetcher::StagingPrefetcher(const std::vector<data::SampleId>& stream,
       devices_(devices),
       preprocess_mbps_(preprocess_mbps),
       time_scale_(time_scale),
-      num_threads_(num_threads < 1 ? 1 : num_threads),
-      transport_(transport) {}
+      num_threads_(num_threads < 1 ? 1 : num_threads) {}
 
 StagingPrefetcher::~StagingPrefetcher() { stop(); }
 
@@ -152,13 +151,12 @@ void StagingPrefetcher::produce() {
       // that acquired the dispenser after close() would otherwise still
       // attempt a reservation on a drained ring.
       if (stop_.load(std::memory_order_relaxed)) return;
-      seq = next_.load(std::memory_order_relaxed);
+      seq = next_;
       if (seq >= stream_.size()) return;
       sample = stream_[seq];
       slot = buffer_.reserve(seq, sample, util::mb_to_bytes(dataset_.size_mb(sample)));
       if (!slot.has_value()) return;  // closed (stop() or external close)
-      next_.store(seq + 1, std::memory_order_relaxed);
-      if (transport_ != nullptr) transport_->publish_watermark(seq + 1);
+      next_ = seq + 1;
     }
     const double mb = dataset_.size_mb(sample);
     router_.fetch_into(sample, mb, slot->data);

@@ -74,8 +74,7 @@ class StagingPrefetcher {
   StagingPrefetcher(const std::vector<data::SampleId>& stream,
                     const data::Dataset& dataset, StagingBuffer& buffer,
                     FetchRouter& router, tiers::WorkerDevices* devices,
-                    double preprocess_mbps, double time_scale, int num_threads,
-                    net::Transport* transport);
+                    double preprocess_mbps, double time_scale, int num_threads);
   ~StagingPrefetcher();
 
   StagingPrefetcher(const StagingPrefetcher&) = delete;
@@ -86,11 +85,6 @@ class StagingPrefetcher {
   /// blocked in reserve()) and joins all threads.  Safe to call while
   /// producers are parked waiting for ring space.
   void stop();
-
-  /// Stream position reached by the dispenser (watermark basis).
-  [[nodiscard]] std::uint64_t progress() const noexcept {
-    return next_.load(std::memory_order_relaxed);
-  }
 
   /// Rethrows the first exception a producer thread hit; that thread
   /// closed the buffer, so a consumer calls this when consume() fails.
@@ -109,9 +103,8 @@ class StagingPrefetcher {
   double preprocess_mbps_;
   double time_scale_;
   int num_threads_;
-  net::Transport* transport_;
   std::mutex dispense_mutex_;
-  std::atomic<std::uint64_t> next_{0};
+  std::uint64_t next_ = 0;  ///< next stream position; guarded by dispense_mutex_
   std::atomic<bool> stop_{false};
   std::vector<std::thread> threads_;
   mutable std::mutex error_mutex_;

@@ -6,9 +6,9 @@
 // fails as a miss (nullopt), exactly as if the peer connection dropped —
 // the fetch router then falls back to the PFS, so delivery completeness
 // holds and the delivered-sample digest is unchanged.  Everything else
-// (collectives, gamma gossip, sweep frames, watermarks) forwards
-// untouched, so the decorator composes over SimTransport and
-// SocketTransport alike and both launch modes exercise the same plans.
+// (collectives, gamma gossip, sweep frames) forwards untouched, so the
+// decorator composes over SimTransport and SocketTransport alike and both
+// launch modes exercise the same plans.
 
 #include <atomic>
 #include <chrono>
@@ -66,12 +66,6 @@ class FaultTransport final : public Transport {
   }
   void sweep_push_result(Bytes batch) override {
     inner_.sweep_push_result(std::move(batch));
-  }
-  void publish_watermark(std::uint64_t position) override {
-    inner_.publish_watermark(position);
-  }
-  [[nodiscard]] std::uint64_t watermark_of(int peer) const override {
-    return inner_.watermark_of(peer);
   }
   [[nodiscard]] double transferred_mb() const override {
     return inner_.transferred_mb();

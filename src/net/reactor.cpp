@@ -1,4 +1,7 @@
 // Reactor: the level-triggered epoll loop (DESIGN.md Sec. 7.5).
+// epoll_pwait2 takes the next timer's deadline as a timespec, so timers keep
+// sub-millisecond precision on an otherwise idle loop (epoll_wait rounds to
+// whole milliseconds; it remains the fallback on kernels without pwait2).
 // Registrations carry (generation << 32) | fd in epoll_event.data.u64, so
 // dispatch can drop an event whose fd was closed and re-registered within
 // the same epoll_wait batch.
@@ -134,9 +137,8 @@ void Reactor::del_fd(int fd) {
 
 void Reactor::call_later(double delay_s, Task task) {
   Timer timer;
-  timer.when = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(std::max(0.0, delay_s)));
+  timer.when = Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                  std::chrono::duration<double>(std::max(0.0, delay_s)));
   timer.seq = timer_seq_++;
   timer.fn = std::move(task);
   timers_.push_back(std::move(timer));
@@ -157,7 +159,7 @@ void Reactor::drain_tasks() {
 }
 
 void Reactor::fire_due_timers() {
-  const auto now = std::chrono::steady_clock::now();
+  const auto now = Clock::now();
   while (!timers_.empty() && timers_.front().when <= now) {
     std::pop_heap(timers_.begin(), timers_.end(), std::greater<>{});
     Task fn = std::move(timers_.back().fn);
@@ -166,20 +168,34 @@ void Reactor::fire_due_timers() {
   }
 }
 
-int Reactor::wait_timeout_ms() const {
-  if (timers_.empty()) return -1;
-  const auto now = std::chrono::steady_clock::now();
-  if (timers_.front().when <= now) return 0;
-  const auto wait = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        timers_.front().when - now)
-                        .count();
-  // +1 rounds up so a timer never spins on a 0ms-but-not-due wait.
-  return static_cast<int>(std::min<long long>(wait + 1, 60'000));
+bool Reactor::next_timeout(timespec& timeout) const {
+  if (timers_.empty()) return false;
+  const auto wait = std::max(Clock::duration::zero(),
+                             timers_.front().when - Clock::now());
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      std::min<Clock::duration>(wait, std::chrono::seconds(60)));
+  timeout.tv_sec = static_cast<time_t>(ns.count() / 1'000'000'000);
+  timeout.tv_nsec = static_cast<long>(ns.count() % 1'000'000'000);
+  return true;
 }
 
-bool Reactor::poll(int timeout_ms) {
+bool Reactor::poll() {
   epoll_event events[kEventBatch];
-  const int n = ::epoll_wait(epoll_fd_, events, kEventBatch, timeout_ms);
+  timespec timeout{};
+  const bool timed = next_timeout(timeout);
+  int n = -1;
+  if (pwait2_) {
+    n = ::epoll_pwait2(epoll_fd_, events, kEventBatch, timed ? &timeout : nullptr,
+                       nullptr);
+    if (n < 0 && errno == ENOSYS) pwait2_ = false;  // kernel older than 5.11
+  }
+  if (!pwait2_) {
+    // Whole milliseconds, rounded up so a timer never spins on a
+    // 0 ms-but-not-due wait.
+    const long long ms =
+        timed ? timeout.tv_sec * 1000LL + (timeout.tv_nsec + 999'999) / 1'000'000 : -1;
+    n = ::epoll_wait(epoll_fd_, events, kEventBatch, static_cast<int>(ms));
+  }
   if (n < 0) {
     if (errno == EINTR) return true;
     util::log_error("Reactor: epoll_wait: ", std::strerror(errno));
@@ -204,7 +220,7 @@ void Reactor::run() {
     if (stop_requested_) break;
     fire_due_timers();
     if (iteration_hook_) iteration_hook_();
-    if (!poll(wait_timeout_ms())) break;
+    if (!poll()) break;
   }
 }
 

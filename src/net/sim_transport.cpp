@@ -16,8 +16,6 @@ SimFabric::SimFabric(int world_size) : world_size_(world_size) {
   for (int r = 0; r < world_size; ++r) {
     serve_mutexes_.push_back(std::make_unique<std::mutex>());
   }
-  watermarks_ = std::vector<std::atomic<std::uint64_t>>(static_cast<std::size_t>(world_size));
-  for (auto& w : watermarks_) w.store(0, std::memory_order_relaxed);
   nics_.resize(static_cast<std::size_t>(world_size), nullptr);
   pfs_readers_.resize(static_cast<std::size_t>(world_size), 0);
   pfs_listeners_.resize(static_cast<std::size_t>(world_size));
@@ -165,18 +163,6 @@ void SimTransport::sweep_push_result(Bytes batch) {
   if (fabric_->sweep_service_.on_result) {
     fabric_->sweep_service_.on_result(rank_, std::move(batch));
   }
-}
-
-void SimTransport::publish_watermark(std::uint64_t position) {
-  fabric_->watermarks_[static_cast<std::size_t>(rank_)].store(position,
-                                                              std::memory_order_release);
-}
-
-std::uint64_t SimTransport::watermark_of(int peer) const {
-  if (peer < 0 || peer >= fabric_->world_size()) {
-    throw std::invalid_argument("SimTransport: peer out of range");
-  }
-  return fabric_->watermarks_[static_cast<std::size_t>(peer)].load(std::memory_order_acquire);
 }
 
 double SimTransport::transferred_mb() const {

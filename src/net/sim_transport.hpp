@@ -51,13 +51,12 @@ class SimFabric {
   int arrived_ = 0;
   std::uint64_t generation_ = 0;
 
-  // Serve handlers and watermarks, one per rank.  Each rank has its own
+  // Serve handlers, one per rank.  Each rank has its own
   // serve mutex, held both while (re)installing the handler and for the
   // duration of a serve call — so clearing the handler (Job teardown)
   // cannot race with an in-flight serve touching freed state.
   std::vector<Transport::ServeHandler> handlers_;
   std::vector<std::unique_ptr<std::mutex>> serve_mutexes_;
-  std::vector<std::atomic<std::uint64_t>> watermarks_;
 
   // Optional NICs (may be null: then transfers are free / untimed).
   std::vector<tiers::NicDevice*> nics_;
@@ -107,9 +106,6 @@ class SimTransport final : public Transport {
   void set_sweep_service(SweepService service) override;
   std::optional<std::pair<bool, Bytes>> sweep_pull(Bytes pull) override;
   void sweep_push_result(Bytes batch) override;
-
-  void publish_watermark(std::uint64_t position) override;
-  [[nodiscard]] std::uint64_t watermark_of(int peer) const override;
 
   [[nodiscard]] double transferred_mb() const override;
 

@@ -10,12 +10,14 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fstream>
 #include <random>
 #include <stdexcept>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -248,6 +250,10 @@ struct SocketTransport::Session : std::enable_shared_from_this<Session> {
   std::deque<DelayedReply> delayed;
   bool delayed_timer_armed = false;
 
+  /// Rank 0, kServe: a sweep pull that arrived before the service was
+  /// installed, and every frame behind it, in arrival order.
+  std::deque<wire::Frame> parked;
+
   /// Rank 0, kServe: the rank whose kPfsDelta frames arrived here (-1 until
   /// the first one) — the dead-rank cleanup's owner handle.
   int pfs_rank_on_conn = -1;
@@ -321,6 +327,9 @@ struct SocketTransport::Loop {
   bool collective_broken = false;
   std::string collective_error;
 
+  // Sessions holding parked sweep pulls, in the order they first parked.
+  std::vector<std::shared_ptr<Session>> parked_sessions;
+
   // Teardown drain.
   bool draining = false;
   std::shared_ptr<SyncWaiter> drain_waiter;
@@ -346,13 +355,12 @@ SocketTransport::SocketTransport(const SocketOptions& options) : options_(option
   }
   const auto world = static_cast<std::size_t>(total_ranks());
   endpoints_.resize(world);
-  watermarks_ = std::vector<std::atomic<std::uint64_t>>(world);
-  for (auto& w : watermarks_) w.store(0, std::memory_order_relaxed);
   pfs_readers_.resize(world, 0);
   pfs_owner_.resize(world, nullptr);
   pfs_rank_seq_.resize(world, 0);
   if (options_.gossip.max_batch < 1) options_.gossip.max_batch = 1;
   if (options_.time_scale <= 0.0) options_.time_scale = 1.0;
+  gossip_window_s_ = max_gossip_window_s();
 
   loop_ = std::make_unique<Loop>();
   loop_->channels.resize(world);
@@ -395,11 +403,6 @@ SocketTransport::SocketTransport(const SocketOptions& options) : options_(option
     } else {
       rendezvous_as_peer();
     }
-    // Batched contention gossip needs its drain thread; the unary mode
-    // (flush interval 0) sends inline from the caller and never starts one.
-    if (total_ranks() > 1 && options_.gossip.flush_virtual_s > 0.0) {
-      gossip_thread_ = std::thread([this] { gossip_loop(); });
-    }
   } catch (...) {
     teardown();
     throw;
@@ -409,26 +412,25 @@ SocketTransport::SocketTransport(const SocketOptions& options) : options_(option
 SocketTransport::~SocketTransport() { teardown(); }
 
 void SocketTransport::teardown() {
-  // Cooperative gossip drain FIRST, while the channels are still usable: a
-  // queued release must reach rank 0's counter (it must drain to zero on a
-  // clean shutdown, not lean on the dead-rank cleanup), and rank 0's final
-  // coalesced gamma must reach the survivors.
   {
-    const std::scoped_lock lock(gossip_mutex_);
+    // No gossip tick re-arms from here on; a transition still arriving
+    // posts its own flush.
+    const std::scoped_lock lock(pfs_mutex_);
     gossip_stop_ = true;
   }
-  gossip_cv_.notify_all();
-  if (gossip_thread_.joinable()) gossip_thread_.join();
-
   if (reactor_ != nullptr) {
-    // The flush POSTS its frames; the drain task is posted strictly after,
-    // so the reactor enqueues the final deltas/gamma into the session send
-    // queues before the drain walks them — FIFO task order is the whole
-    // teardown-ordering argument.
-    flush_pfs_gossip();
     stopping_.store(true, std::memory_order_release);
     auto drained = std::make_shared<SyncWaiter>();
-    reactor_->post([this, drained] { loop_begin_drain(drained); });
+    // Cooperative gossip drain FIRST, while the channels are still usable:
+    // a queued release must reach rank 0's counter (it must drain to zero
+    // on a clean shutdown, not lean on the dead-rank cleanup), and rank 0's
+    // final coalesced gamma must reach the survivors.  The flush queues
+    // those frames on their sessions in the same task, before the drain
+    // walks them.
+    reactor_->post([this, drained] {
+      loop_flush_gossip();
+      loop_begin_drain(drained);
+    });
     // Bounded: a peer that stopped reading must not wedge our destructor.
     (void)drained->wait_for(std::min(options_.timeout_s, 5.0));
     reactor_->stop();
@@ -885,6 +887,7 @@ void SocketTransport::loop_close_session(const std::shared_ptr<Session>& session
   loop_->sessions.erase(session->fd);
   session->fd = -1;
   session->delayed.clear();
+  session->parked.clear();
 
   switch (session->kind) {
     case Session::Kind::kChannel: {
@@ -986,6 +989,12 @@ void SocketTransport::loop_serve_frame(const std::shared_ptr<Session>& session,
   if (session->state == Session::State::kHandshake) {
     throw std::runtime_error("SocketTransport: frame before channel hello");
   }
+  if (!session->parked.empty()) {
+    // Behind a parked sweep pull: this connection's replies stay in
+    // request order.
+    session->parked.push_back(std::move(frame));
+    return;
+  }
   switch (frame.header.type) {
     case wire::MsgType::kFetch: {
       // The handler hands over the cached buffer itself; the reply sends
@@ -1009,15 +1018,6 @@ void SocketTransport::loop_serve_frame(const std::shared_ptr<Session>& session,
       } else {
         loop_enqueue_reply(session, wire::MsgType::kMiss, frame.header.arg,
                            nullptr, 0.0);
-      }
-      return;
-    }
-    case wire::MsgType::kWatermark: {
-      wire::Reader reader(frame.payload);
-      const auto peer = static_cast<int>(reader.u32());
-      if (peer >= 0 && peer < total_ranks()) {
-        watermarks_[static_cast<std::size_t>(peer)].store(
-            frame.header.arg, std::memory_order_release);
       }
       return;
     }
@@ -1057,8 +1057,12 @@ void SocketTransport::loop_serve_frame(const std::shared_ptr<Session>& session,
       {
         const std::scoped_lock lock(sweep_mutex_);
         if (!sweep_service_.on_pull) {
-          throw std::runtime_error(
-              "SocketTransport: sweep pull with no service installed");
+          // An elastic world has no start barrier, so a pull may beat the
+          // service's installation: park it (and everything behind it on
+          // this connection) until set_sweep_service replays it.
+          loop_->parked_sessions.push_back(session);
+          session->parked.push_back(std::move(frame));
+          return;
         }
         reply = sweep_service_.on_pull(who, std::move(frame.payload));
       }
@@ -1336,10 +1340,37 @@ void SocketTransport::set_sweep_service(SweepService service) {
     throw std::runtime_error(
         "SocketTransport: the sweep service lives on rank 0");
   }
-  // Holding sweep_mutex_ fences withdrawal: the reactor invokes handlers
-  // under the same mutex, so after this returns no old handler is running.
-  const std::scoped_lock lock(sweep_mutex_);
-  sweep_service_ = std::move(service);
+  const bool serves_pulls = static_cast<bool>(service.on_pull);
+  {
+    // Holding sweep_mutex_ fences withdrawal: the reactor invokes handlers
+    // under the same mutex, so after this returns no old handler is running.
+    const std::scoped_lock lock(sweep_mutex_);
+    sweep_service_ = std::move(service);
+  }
+  if (serves_pulls) reactor_->post([this] { loop_replay_parked(); });
+}
+
+void SocketTransport::loop_replay_parked() {
+  // Sessions in the order their first pull parked; each replays its own
+  // frames in arrival order.  A frame that finds the service withdrawn
+  // again parks anew, and the rest of its session parks behind it.
+  const auto sessions = std::move(loop_->parked_sessions);
+  loop_->parked_sessions.clear();
+  for (const auto& session : sessions) {
+    std::deque<wire::Frame> frames = std::move(session->parked);
+    session->parked.clear();
+    try {
+      for (wire::Frame& frame : frames) {
+        if (session->state == Session::State::kClosed) break;
+        loop_serve_frame(session, std::move(frame));
+      }
+    } catch (const std::exception& ex) {
+      if (!stopping_.load(std::memory_order_acquire)) {
+        util::log_error("SocketTransport rank ", options_.rank, ": ", ex.what());
+      }
+      loop_close_session(session);
+    }
+  }
 }
 
 std::optional<std::pair<bool, Bytes>> SocketTransport::sweep_pull(Bytes pull) {
@@ -1375,8 +1406,8 @@ void SocketTransport::sweep_push_result(Bytes batch) {
     throw std::runtime_error("SocketTransport: rank 0 folds results locally");
   }
   if (stopping_.load(std::memory_order_acquire) || reactor_ == nullptr) return;
-  // Fire-and-forget, like watermarks: a batch lost to a dying root is
-  // recovered by the scheduler's tail re-grant, never by a retry here.
+  // Fire-and-forget: a batch lost to a dying root is recovered by the
+  // scheduler's tail re-grant, never by a retry here.
   reactor_->post([this, payload = std::move(batch)]() mutable {
     const auto channel = loop_channel(0);
     if (channel == nullptr) return;
@@ -1591,6 +1622,10 @@ double SocketTransport::flush_interval_s() const noexcept {
   return options_.gossip.flush_virtual_s / options_.time_scale;
 }
 
+double SocketTransport::max_gossip_window_s() const noexcept {
+  return std::max(flush_interval_s(), kMinGossipWindowS);
+}
+
 int SocketTransport::pfs_root_fold(int rank, int delta, bool notify_local,
                                    const void* conn_tag, std::uint32_t seq) {
   const std::scoped_lock lock(pfs_mutex_);
@@ -1617,29 +1652,21 @@ int SocketTransport::pfs_fold_locked(int rank, int delta, bool notify_local,
   pfs_gamma_ = gamma;
   if (notify_local && pfs_listener_) pfs_listener_(gamma);
   if (flush_interval_s() > 0.0) {
-    // Batched mode: the gossip thread broadcasts within one flush interval
-    // — many folds coalesce into one window (that interval, plus the RTT,
-    // is the staleness bound), with the window's PEAK remembered so the
+    // Batched mode: the gossip tick broadcasts within one flush interval —
+    // many folds coalesce into one window (that interval, plus the RTT, is
+    // the staleness bound), with the window's PEAK remembered so the
     // envelope survives the coalescing.
     pfs_broadcast_pending_ = true;
     if (gamma > pfs_broadcast_peak_) pfs_broadcast_peak_ = gamma;
+    arm_gossip_locked();
   } else {
     // Unary mode: post the broadcast while still holding pfs_mutex_, so two
     // racing transitions reach the reactor's FIFO queue — and therefore
     // every peer — in the order they were folded.
-    pfs_broadcast_gamma_locked(gamma);
+    const Bytes payload = wire::encode_pfs_gamma({gamma, ++pfs_gamma_seq_});
+    reactor_->post([this, payload] { loop_send_gossip({}, {payload}); });
   }
   return gamma;
-}
-
-void SocketTransport::pfs_emit_pending_broadcast_locked() {
-  if (!pfs_broadcast_pending_) return;
-  pfs_broadcast_pending_ = false;
-  if (pfs_broadcast_peak_ > pfs_gamma_) {
-    pfs_broadcast_gamma_locked(pfs_broadcast_peak_);
-  }
-  pfs_broadcast_peak_ = pfs_gamma_;
-  pfs_broadcast_gamma_locked(pfs_gamma_);
 }
 
 void SocketTransport::pfs_root_drop_dead_rank(int rank, const void* conn_tag) {
@@ -1654,26 +1681,6 @@ void SocketTransport::pfs_root_drop_dead_rank(int rank, const void* conn_tag) {
   (void)pfs_fold_locked(rank, -outstanding, /*notify_local=*/true, conn_tag);
 }
 
-void SocketTransport::pfs_broadcast_gamma_locked(int gamma_value) {
-  if (reactor_ == nullptr) return;
-  const Bytes payload =
-      wire::encode_pfs_gamma({gamma_value, ++pfs_gamma_seq_});
-  // ALWAYS posted, never sent inline (even when already on the reactor):
-  // mixing inline and posted sends would let a later gamma overtake an
-  // earlier one still sitting in the task queue.
-  reactor_->post([this, payload] {
-    for (int peer = 1; peer < total_ranks(); ++peer) {
-      const auto channel = loop_channel(peer);
-      if (channel != nullptr) {
-        // Gossip is best-effort, like watermarks; a dead peer stays stale.
-        channel->sendq.push(wire::MsgType::kPfsGamma, 0, payload.data(),
-                            payload.size());
-        loop_mark_dirty(channel);
-      }
-    }
-  });
-}
-
 void SocketTransport::pfs_apply_gamma(const wire::PfsGamma& update) {
   const std::scoped_lock lock(pfs_mutex_);
   if (update.seq <= pfs_gamma_seen_) return;  // stale broadcast
@@ -1684,114 +1691,114 @@ void SocketTransport::pfs_apply_gamma(const wire::PfsGamma& update) {
   if (pfs_listener_) pfs_listener_(pfs_gamma_);
 }
 
-void SocketTransport::pfs_flush_deltas() {
-  // Flushers (gossip thread, unary-mode callers, teardown) serialize here,
-  // which pins the POST order — and therefore the frame order on the
-  // channel — to seq order; the queue lock is dropped before the post so
-  // enqueueing reader threads never wait on a flusher.
-  const std::scoped_lock flush_lock(pfs_flush_mutex_);
-  int net = 0;
-  int peak = 0;
-  std::uint32_t first_seq = 0;
-  int frames = 0;
-  {
-    const std::scoped_lock lock(gossip_mutex_);
-    net = pending_delta_;
-    peak = pending_max_prefix_;
-    pending_delta_ = 0;
-    pending_max_prefix_ = 0;
-    pending_transitions_ = 0;
-    // Preserve the window's EXTREME, not just its endpoint: if the queued
-    // transitions peaked above the net (an acquire/release pair inside one
-    // window), send the peak first and the correction after, so the active
-    // period still touches rank 0's counter trajectory.  Nothing to say
-    // only when the trajectory never left its last-flushed value.
-    frames = peak > net && peak > 0 ? 2 : (net != 0 ? 1 : 0);
-    if (frames == 0) return;
-    first_seq = delta_seq_ + 1;
-    delta_seq_ += static_cast<std::uint32_t>(frames);
-  }
-  if (reactor_ == nullptr) return;
-  std::vector<Bytes> payloads;
-  if (frames == 2) {
-    payloads.push_back(wire::encode_pfs_delta({peak, first_seq}));
-    payloads.push_back(wire::encode_pfs_delta({net - peak, first_seq + 1}));
-  } else {
-    payloads.push_back(wire::encode_pfs_delta({net, first_seq}));
-  }
-  reactor_->post([this, payloads = std::move(payloads)] {
-    // Best-effort, like the unary frames: a lost delta self-heals through
-    // the root's per-rank clamp and the dead-rank cleanup.
-    const auto channel = loop_channel(0);
-    if (channel == nullptr) return;
-    for (const Bytes& payload : payloads) {
-      channel->sendq.push(wire::MsgType::kPfsDelta,
-                          static_cast<std::uint64_t>(options_.rank),
-                          payload.data(), payload.size());
-    }
-    loop_mark_dirty(channel);
+void SocketTransport::arm_gossip_locked() {
+  if (gossip_armed_ || gossip_stop_) return;
+  gossip_armed_ = true;
+  reactor_->post([this] {
+    reactor_->call_later(gossip_window_s_, [this] { loop_gossip_tick(); });
   });
 }
 
-void SocketTransport::pfs_enqueue_delta(int delta) {
-  bool flush_now = false;
-  bool batch_full = false;
-  {
-    const std::scoped_lock lock(gossip_mutex_);
-    pending_delta_ += delta;
-    if (pending_delta_ > pending_max_prefix_) pending_max_prefix_ = pending_delta_;
-    ++pending_transitions_;
-    // Unary mode (and the post-teardown stragglers of any mode) flushes
-    // from the calling thread, the historical behaviour.
-    flush_now = flush_interval_s() <= 0.0 || gossip_stop_;
-    batch_full = pending_transitions_ >= options_.gossip.max_batch;
+void SocketTransport::take_gossip_locked(std::vector<Bytes>& deltas,
+                                         std::vector<Bytes>& gammas) {
+  // Preserve the window's EXTREME, not just its endpoint: if the queued
+  // transitions peaked above the net (an acquire/release pair inside one
+  // window), send the peak first and the correction after, so the active
+  // period still touches rank 0's counter trajectory.  Nothing to say only
+  // when the trajectory never left its last-flushed value.
+  const int net = pending_delta_;
+  const int peak = pending_max_prefix_;
+  pending_delta_ = 0;
+  pending_max_prefix_ = 0;
+  pending_transitions_ = 0;
+  if (peak > net && peak > 0) {
+    deltas.push_back(wire::encode_pfs_delta({peak, ++delta_seq_}));
+    deltas.push_back(wire::encode_pfs_delta({net - peak, ++delta_seq_}));
+  } else if (net != 0) {
+    deltas.push_back(wire::encode_pfs_delta({net, ++delta_seq_}));
   }
-  if (flush_now) {
-    pfs_flush_deltas();
-  } else if (batch_full) {
-    gossip_cv_.notify_all();
+  // Rank 0: the pending coalesced broadcast, the window's peak first when
+  // it exceeds the settle value, so the envelope survives coalescing.
+  if (!pfs_broadcast_pending_) return;
+  pfs_broadcast_pending_ = false;
+  if (pfs_broadcast_peak_ > pfs_gamma_) {
+    gammas.push_back(wire::encode_pfs_gamma({pfs_broadcast_peak_, ++pfs_gamma_seq_}));
+  }
+  pfs_broadcast_peak_ = pfs_gamma_;
+  gammas.push_back(wire::encode_pfs_gamma({pfs_gamma_, ++pfs_gamma_seq_}));
+}
+
+void SocketTransport::loop_send_gossip(const std::vector<Bytes>& deltas,
+                                       const std::vector<Bytes>& gammas) {
+  // Best-effort: a lost delta self-heals through the root's per-rank clamp
+  // and the dead-rank cleanup; a dead peer's gamma just stays stale.
+  if (!deltas.empty()) {
+    const auto channel = loop_channel(0);
+    if (channel != nullptr) {
+      for (const Bytes& payload : deltas) {
+        channel->sendq.push(wire::MsgType::kPfsDelta,
+                            static_cast<std::uint64_t>(options_.rank),
+                            payload.data(), payload.size());
+      }
+      loop_mark_dirty(channel);
+    }
+  }
+  if (gammas.empty()) return;
+  for (int peer = 1; peer < total_ranks(); ++peer) {
+    const auto channel = loop_channel(peer);
+    if (channel == nullptr) continue;
+    for (const Bytes& payload : gammas) {
+      channel->sendq.push(wire::MsgType::kPfsGamma, 0, payload.data(), payload.size());
+    }
+    loop_mark_dirty(channel);
   }
 }
 
-void SocketTransport::gossip_loop() {
-  // Fixed window by default; with gossip.min_flush_virtual_s > 0 the window
-  // adapts per wake (DESIGN.md Sec. 11): halve toward the minimum after a
-  // window that had transitions to flush (gamma is volatile), double back
-  // toward the configured maximum after a quiet one (steady gamma needs no
-  // frames).  Flushes are extreme-preserving regardless, so adaptation
-  // changes delivery latency only, never the folded gamma.
-  const double max_s = std::max(flush_interval_s(), 50e-6);  // never a busy spin
+void SocketTransport::loop_flush_gossip() {
+  std::vector<Bytes> deltas;
+  std::vector<Bytes> gammas;
+  {
+    const std::scoped_lock lock(pfs_mutex_);
+    take_gossip_locked(deltas, gammas);
+  }
+  loop_send_gossip(deltas, gammas);
+}
+
+void SocketTransport::loop_gossip_tick() {
+  std::vector<Bytes> deltas;
+  std::vector<Bytes> gammas;
+  bool busy = false;
+  bool rearm = false;
+  {
+    const std::scoped_lock lock(pfs_mutex_);
+    if (gossip_stop_) return;  // teardown's drain task flushes what is left
+    busy = gossip_window_busy_;
+    gossip_window_busy_ = false;
+    // Only a window that had work re-arms; the next transition after a
+    // quiet one arms the timer again.
+    rearm = busy || pfs_broadcast_pending_;
+    gossip_armed_ = rearm;
+    take_gossip_locked(deltas, gammas);
+  }
+  // With gossip.min_flush_virtual_s > 0 the window adapts per tick
+  // (DESIGN.md Sec. 11.4): halve toward the minimum after a window that
+  // had transitions (gamma is volatile), double back toward the configured
+  // maximum after a quiet one.  Flushes are extreme-preserving regardless,
+  // so adaptation changes delivery latency only, never the folded gamma.
+  const double max_s = max_gossip_window_s();
   const double min_s =
       options_.gossip.min_flush_virtual_s > 0.0
           ? std::clamp(options_.gossip.min_flush_virtual_s / options_.time_scale,
-                       50e-6, max_s)
+                       kMinGossipWindowS, max_s)
           : max_s;
-  double window_s = max_s;
-  std::unique_lock lock(gossip_mutex_);
-  while (!gossip_stop_) {
-    gossip_cv_.wait_for(lock, std::chrono::duration<double>(window_s), [this] {
-      return gossip_stop_ || pending_transitions_ >= options_.gossip.max_batch;
-    });
-    if (gossip_stop_) break;
-    const bool have_deltas = pending_transitions_ > 0;
-    window_s = have_deltas ? std::max(min_s, window_s * 0.5)
-                           : std::min(max_s, window_s * 2.0);
-    lock.unlock();
-    if (have_deltas) pfs_flush_deltas();
-    if (options_.rank == 0) {
-      const std::scoped_lock pfs_lock(pfs_mutex_);
-      pfs_emit_pending_broadcast_locked();
-    }
-    lock.lock();
-  }
+  gossip_window_s_ = busy ? std::max(min_s, gossip_window_s_ * 0.5)
+                          : std::min(max_s, gossip_window_s_ * 2.0);
+  loop_send_gossip(deltas, gammas);
+  if (rearm) reactor_->call_later(gossip_window_s_, [this] { loop_gossip_tick(); });
 }
 
 void SocketTransport::flush_pfs_gossip() {
-  pfs_flush_deltas();
-  if (options_.rank == 0) {
-    const std::scoped_lock lock(pfs_mutex_);
-    pfs_emit_pending_broadcast_locked();
-  }
+  reactor_->post([this] { loop_flush_gossip(); });
 }
 
 int SocketTransport::pfs_adjust(int delta) {
@@ -1803,26 +1810,36 @@ int SocketTransport::pfs_adjust(int delta) {
     // batched mode.
     return pfs_root_fold(0, delta, /*notify_local=*/false);
   }
-  int estimate = 0;
-  {
-    // Local estimate until the authoritative kPfsGamma arrives (staleness
-    // bound: one flush interval + a control round-trip).  Optimism is
-    // asymmetric on purpose: a release lowers the estimate immediately
-    // (underpricing briefly is the historical staleness behaviour), but an
-    // acquire only floors it at this rank's own reader count — adding the
-    // delta on top of a broadcast that may ALREADY count this rank (its
-    // coalesced release never left the queue) would double-count and
-    // inflate the gamma envelope above the job-wide truth.
-    const std::scoped_lock lock(pfs_mutex_);
-    pfs_local_readers_ += delta;
-    if (pfs_local_readers_ < 0) pfs_local_readers_ = 0;
-    if (delta < 0) pfs_gamma_ += delta;
-    if (pfs_gamma_ < pfs_local_readers_) pfs_gamma_ = pfs_local_readers_;
-    if (pfs_gamma_ < 0) pfs_gamma_ = 0;
-    estimate = pfs_gamma_;
+  const std::scoped_lock lock(pfs_mutex_);
+  // Local estimate until the authoritative kPfsGamma arrives (staleness
+  // bound: one flush interval + a control round-trip).  Optimism is
+  // asymmetric on purpose: a release lowers the estimate immediately
+  // (underpricing briefly is the historical staleness behaviour), but an
+  // acquire only floors it at this rank's own reader count — adding the
+  // delta on top of a broadcast that may ALREADY count this rank (its
+  // coalesced release never left the queue) would double-count and
+  // inflate the gamma envelope above the job-wide truth.
+  pfs_local_readers_ += delta;
+  if (pfs_local_readers_ < 0) pfs_local_readers_ = 0;
+  if (delta < 0) pfs_gamma_ += delta;
+  if (pfs_gamma_ < pfs_local_readers_) pfs_gamma_ = pfs_local_readers_;
+  if (pfs_gamma_ < 0) pfs_gamma_ = 0;
+
+  // Queue the transition for the gossip tick.
+  pending_delta_ += delta;
+  if (pending_delta_ > pending_max_prefix_) pending_max_prefix_ = pending_delta_;
+  ++pending_transitions_;
+  gossip_window_busy_ = true;
+  if (flush_interval_s() <= 0.0 || gossip_stop_ ||
+      pending_transitions_ == options_.gossip.max_batch) {
+    // Unary mode, a transition after teardown began, or a full batch: one
+    // flush now (a full batch posts once, however many transitions follow
+    // before the flush runs).
+    reactor_->post([this] { loop_flush_gossip(); });
+  } else {
+    arm_gossip_locked();
   }
-  pfs_enqueue_delta(delta);
-  return estimate;
+  return pfs_gamma_;
 }
 
 void SocketTransport::set_pfs_listener(PfsListener listener) {
@@ -1831,32 +1848,7 @@ void SocketTransport::set_pfs_listener(PfsListener listener) {
 }
 
 // ---------------------------------------------------------------------------
-// Watermarks + drain + odds and ends.
-
-void SocketTransport::publish_watermark(std::uint64_t position) {
-  watermarks_[static_cast<std::size_t>(options_.rank)].store(
-      position, std::memory_order_release);
-  if (stopping_.load(std::memory_order_acquire) || reactor_ == nullptr) return;
-  Bytes who;
-  wire::put_u32(who, static_cast<std::uint32_t>(options_.rank));
-  reactor_->post([this, position, who = std::move(who)] {
-    for (int peer = 0; peer < total_ranks(); ++peer) {
-      if (peer == options_.rank) continue;
-      const auto channel = loop_channel(peer);
-      if (channel != nullptr) {
-        // Watermarks are best-effort gossip; a dead peer just stays stale.
-        channel->sendq.push(wire::MsgType::kWatermark, position, who.data(),
-                            who.size());
-        loop_mark_dirty(channel);
-      }
-    }
-  });
-}
-
-std::uint64_t SocketTransport::watermark_of(int peer) const {
-  check_peer(peer);
-  return watermarks_[static_cast<std::size_t>(peer)].load(std::memory_order_acquire);
-}
+// Drain + odds and ends.
 
 double SocketTransport::transferred_mb() const {
   if (options_.nic != nullptr) return options_.nic->total_transferred_mb();

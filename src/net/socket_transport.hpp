@@ -19,8 +19,8 @@
 //   * Serving (DESIGN.md Sec. 7.5/7.6): all socket I/O — accepted serve
 //     connections, dialed peer channels, control connections, rendezvous —
 //     runs on ONE epoll reactor thread (net/reactor.hpp) as non-blocking
-//     per-peer Session state machines.  The process's thread count is
-//     reactor + gossip regardless of world size.  Fetch is pipelined:
+//     per-peer Session state machines.  The transport adds that one thread
+//     to the process, whatever the world size.  Fetch is pipelined:
 //     fetch_sample_start() enqueues a kFetch and returns a ticket,
 //     fetch_sample_finish() parks on it, and replies match tickets FIFO
 //     because the serve side answers one connection's requests in order.
@@ -37,16 +37,17 @@
 //     blocking the loop.
 //   * PFS contention accounting (DESIGN.md Sec. 7.4): rank 0 hosts the
 //     authoritative job-wide active-reader counter.  Reader threads only
-//     ENQUEUE their weighted transitions (pfs_adjust); a dedicated gossip
-//     thread drains the queue as one net kPfsDelta frame per flush window
-//     (GossipConfig: bounded interval in virtual time + max batch) on the
-//     fetch channel to rank 0.  Rank 0 folds deltas under its counter lock
-//     and broadcasts coalesced kPfsGamma updates on the same per-peer
-//     channels the watermarks ride.  net::SharedPfs consumes this surface
-//     to retune its token bucket.  Teardown flushes queued deltas through
-//     the reactor and drains every session's send queue before closing, so
-//     a cooperative shutdown drains rank 0's counter to zero without the
-//     dead-rank cleanup path.
+//     ENQUEUE their weighted transitions (pfs_adjust); a reactor timer, the
+//     gossip tick, drains the queue as one net kPfsDelta frame per flush
+//     window (GossipConfig: bounded interval in virtual time + max batch)
+//     on the fetch channel to rank 0.  Rank 0 folds deltas under its
+//     counter lock and its own tick broadcasts coalesced kPfsGamma updates
+//     on the per-peer channels.  The tick runs only while its window had
+//     work; the first transition after a quiet window arms it again.
+//     net::SharedPfs consumes this surface to retune its token bucket.
+//     Teardown flushes queued deltas on the reactor and drains every
+//     session's send queue before closing, so a cooperative shutdown
+//     drains rank 0's counter to zero without the dead-rank cleanup path.
 //
 // Loopback only today: endpoints are exchanged as IPv4 addresses, so
 // spanning real nodes needs nothing new on the wire, just reachable
@@ -54,13 +55,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/reactor.hpp"
@@ -98,7 +97,7 @@ struct SocketOptions {
   /// SimTransport charges them.  May be null (untimed, bytes still counted).
   tiers::NicDevice* nic = nullptr;
   /// Contention-gossip batching.  The raw-transport default (flush 0)
-  /// sends every transition synchronously — the unary-equivalence mode
+  /// flushes every transition as it happens — the unary-equivalence mode
   /// wire-level tests and the acquire/release cycle bench rely on; the
   /// harness passes its RuntimeConfig::pfs_gossip shape for batched worlds.
   GossipConfig gossip{0.0, 128};
@@ -162,9 +161,6 @@ class SocketTransport final : public Transport {
   std::optional<std::pair<bool, Bytes>> sweep_pull(Bytes pull) override;
   void sweep_push_result(Bytes batch) override;
 
-  void publish_watermark(std::uint64_t position) override;
-  [[nodiscard]] std::uint64_t watermark_of(int peer) const override;
-
   [[nodiscard]] double transferred_mb() const override;
 
   /// Port of this rank's serve listener (diagnostics / tests).
@@ -174,10 +170,10 @@ class SocketTransport final : public Transport {
     return "epoll";
   }
 
-  /// Drains any queued contention deltas (and, on rank 0, any pending
-  /// coalesced gamma broadcast) right now, ahead of the flush cadence.
-  /// Tests use it to make batched-mode assertions deterministic; teardown
-  /// calls it so cooperative shutdown never drops a queued release.
+  /// Posts a flush of any queued contention deltas (and, on rank 0, any
+  /// pending coalesced gamma broadcast) ahead of the flush cadence: every
+  /// transition made before the call is on the wire once the reactor runs
+  /// it.  Tests use it to make batched-mode assertions deterministic.
   void flush_pfs_gossip();
 
  private:
@@ -231,6 +227,9 @@ class SocketTransport final : public Transport {
                              wire::Frame frame);
   void loop_serve_frame(const std::shared_ptr<Session>& session,
                         wire::Frame frame);
+  /// Serves the sweep pulls parked while no service was installed (and the
+  /// frames behind them), session by session in the order they parked.
+  void loop_replay_parked();
   void loop_channel_reply(const std::shared_ptr<Session>& session,
                           wire::Frame frame);
   void loop_control_frame(const std::shared_ptr<Session>& session,
@@ -279,31 +278,30 @@ class SocketTransport final : public Transport {
   /// Rank-0 disconnect cleanup: zeroes `rank`'s contribution iff `conn_tag`
   /// still owns it (a redialed channel's live contribution is left alone).
   void pfs_root_drop_dead_rank(int rank, const void* conn_tag);
-  /// Rank-0: posts the broadcast of `gamma_value` to every peer onto the
-  /// reactor.  Caller must hold pfs_mutex_; the reactor's FIFO task queue
-  /// preserves fold order on the wire (broadcasts are ALWAYS posted, never
-  /// sent inline, so seq order can't invert).
-  void pfs_broadcast_gamma_locked(int gamma_value);
-  /// Rank-0, batched mode: emits the pending coalesced broadcast — the
-  /// window's peak first when it exceeds the settle value, so the envelope
-  /// survives coalescing.  Caller must hold pfs_mutex_.
-  void pfs_emit_pending_broadcast_locked();
   /// Non-root side: applies a kPfsGamma update from rank 0.
   void pfs_apply_gamma(const wire::PfsGamma& update);
-  /// Non-root: enqueues a transition for the gossip thread, or flushes it
-  /// inline when flush_virtual_s == 0 (unary-equivalence mode).
-  void pfs_enqueue_delta(int delta);
-  /// Drains the queue as one net kPfsDelta posted to the reactor.
-  /// Self-locking: concurrent flushers serialize on pfs_flush_mutex_ across
-  /// their posts (so frames reach the channel in seq order) while
-  /// gossip_mutex_ is held only for the snapshot — reader threads never
-  /// wait on a socket send.
-  void pfs_flush_deltas();
-  /// The gossip thread: drains the delta queue / pending broadcast at the
-  /// configured cadence until teardown.
-  void gossip_loop();
+  /// Batched mode: posts the arming of the gossip tick unless a tick is
+  /// already scheduled.  Caller must hold pfs_mutex_.
+  void arm_gossip_locked();
+  /// Takes the queued transitions as kPfsDelta payloads (the window's peak
+  /// first when it exceeds the net) and, on rank 0, the pending coalesced
+  /// broadcast as kPfsGamma payloads.  Caller must hold pfs_mutex_.
+  void take_gossip_locked(std::vector<Bytes>& deltas, std::vector<Bytes>& gammas);
+  /// Queues taken gossip on the channel to rank 0 (deltas) and on every
+  /// peer's channel (gammas).  All batched gossip is taken and queued on the
+  /// loop thread, so sequence order is wire order.
+  void loop_send_gossip(const std::vector<Bytes>& deltas,
+                        const std::vector<Bytes>& gammas);
+  /// Takes and queues whatever gossip is pending.
+  void loop_flush_gossip();
+  /// The gossip timer: flushes, adapts the window, and re-arms itself while
+  /// its window had work.
+  void loop_gossip_tick();
   /// Real-seconds flush cadence (gossip.flush_virtual_s / time_scale).
   [[nodiscard]] double flush_interval_s() const noexcept;
+  /// The longest gossip window: the flush cadence, floored at
+  /// kMinGossipWindowS.
+  [[nodiscard]] double max_gossip_window_s() const noexcept;
   /// Flushes gossip, drains every session's send queue on the reactor,
   /// stops the reactor, closes what's left.  Used by both the destructor
   /// and constructor failure cleanup.
@@ -331,15 +329,13 @@ class SocketTransport final : public Transport {
   std::mutex collective_mutex_;  // collectives are one-at-a-time
   std::vector<PeerEndpoint> endpoints_;
 
-  std::vector<std::atomic<std::uint64_t>> watermarks_;
   std::atomic<double> transferred_mb_no_nic_{0.0};
 
-  // PFS contention state.  pfs_mutex_ orders every gamma change and is held
-  // across the kPfsGamma broadcast POST (so peers never see updates out of
-  // order) and across listener invocation (so set_pfs_listener({}) fences).
-  // Lock order: pfs_mutex_ and gossip_mutex_ are never held together; the
-  // reactor thread takes pfs_mutex_ (folds) and handler_mutex_ (serves) but
-  // never blocks on a caller, so no cycle can form.
+  // PFS contention state.  pfs_mutex_ guards all of it: it orders every
+  // gamma change, is held across the unary kPfsGamma broadcast POST (so
+  // peers never see updates out of order) and across listener invocation
+  // (so set_pfs_listener({}) fences).  The reactor thread takes it (folds,
+  // gossip ticks) but never blocks on a caller while holding it.
   std::mutex pfs_mutex_;
   std::vector<int> pfs_readers_;  ///< rank 0 only: per-rank reader count
   /// Rank 0 only: the serve session that last carried each rank's
@@ -359,15 +355,9 @@ class SocketTransport final : public Transport {
   int pfs_broadcast_peak_ = 0;
   PfsListener pfs_listener_;
 
-  // The gossip queue (non-root deltas; rank 0 reuses only the thread, for
-  // coalesced broadcasts).  Reader threads append under gossip_mutex_ and
-  // return; gossip_thread_ drains at the flush cadence.  pfs_flush_mutex_
-  // serializes flushers across their posts (seq order on the channel);
-  // lock order: pfs_flush_mutex_ before gossip_mutex_.
-  std::mutex pfs_flush_mutex_;
-  std::mutex gossip_mutex_;
-  std::condition_variable gossip_cv_;
-  std::thread gossip_thread_;
+  // The gossip queue (non-root deltas; rank 0 uses only the tick, for
+  // coalesced broadcasts).  Reader threads append under pfs_mutex_ and
+  // return; the gossip tick drains it on the reactor.
   int pending_delta_ = 0;         ///< net queued reader-count change
   /// Highest prefix sum the queued transitions reached: the rank's peak
   /// contribution within the window, relative to its last-flushed value.
@@ -378,7 +368,13 @@ class SocketTransport final : public Transport {
   int pending_max_prefix_ = 0;
   int pending_transitions_ = 0;   ///< transitions coalesced into it
   std::uint32_t delta_seq_ = 0;   ///< non-root: kPfsDelta frames sent
-  bool gossip_stop_ = false;
+  bool gossip_armed_ = false;     ///< a gossip tick is scheduled or being armed
+  bool gossip_window_busy_ = false;  ///< transitions since the last tick
+  bool gossip_stop_ = false;      ///< teardown began: no tick re-arms
+  /// Shortest gossip window: a flush cadence below it would keep the
+  /// reactor waking for nothing.
+  static constexpr double kMinGossipWindowS = 50e-6;
+  double gossip_window_s_ = 0.0;  ///< loop thread: the tick period
 };
 
 /// A loopback port that is free now, for the caller to hand to a

@@ -2,9 +2,10 @@
 // Transport abstraction: the communication surface NoPFS needs from MPI.
 //
 // The paper's implementation uses MPI for (1) an allgather distributing
-// every worker's access sequence R during setup, (2) serving locally cached
-// samples to remote workers and requesting samples from them, and (3) the
-// prefetch-progress heuristic (Sec. 5.2.2).  This interface captures exactly
+// every worker's access sequence R during setup and (2) serving locally
+// cached samples to remote workers and requesting samples from them; its
+// prefetch-progress heuristic (Sec. 5.2.2) needs no communication, since a
+// worker judges a peer's progress by its own.  This interface captures
 // that surface; `SimTransport` (sim_transport.hpp) provides the single-box
 // substitute where workers are threads and link bandwidth is emulated, and
 // `SocketTransport` (socket_transport.hpp) is the real multi-process
@@ -27,14 +28,13 @@ namespace nopfs::net {
 using Bytes = std::vector<std::uint8_t>;
 
 /// Shape of the batched PFS contention gossip (DESIGN.md Sec. 7.4).  A
-/// reader-count transition is enqueued, not sent: a gossip thread drains
+/// reader-count transition is enqueued, not sent: a gossip timer drains
 /// the queue as one net kPfsDelta frame every `flush_virtual_s` VIRTUAL
 /// seconds (the transport divides by its time scale), or sooner once
 /// `max_batch` transitions are pending.  `flush_virtual_s == 0` selects the
-/// unary-equivalence mode: every transition is sent synchronously from the
-/// calling thread, reproducing the historical per-transition protocol
-/// (tests pin that both modes deliver identical digests and gamma
-/// envelopes).  The defaults here are THE batched harness defaults —
+/// unary-equivalence mode: every transition posts its own flush, the
+/// historical per-transition protocol (tests pin that both modes deliver
+/// identical digests and gamma envelopes).  The defaults here are THE batched harness defaults —
 /// RuntimeConfig and the scenario registry inherit them, so the flush
 /// window is tuned in exactly one place; raw SocketOptions overrides to
 /// flush 0.  Transports without contention accounting ignore this.
@@ -42,7 +42,7 @@ struct GossipConfig {
   double flush_virtual_s = 0.005;
   int max_batch = 128;
   /// Adaptive flush for churny/elastic worlds (DESIGN.md Sec. 11): when
-  /// > 0, the gossip thread's window adapts inside
+  /// > 0, the gossip timer's window adapts inside
   /// [min_flush_virtual_s, flush_virtual_s] — it halves after a window
   /// that had transitions to flush (gamma is volatile, peers should hear
   /// sooner) and doubles after a quiet one (gamma is steady, save the
@@ -163,13 +163,15 @@ class Transport {
     throw std::runtime_error("transport: sweep service not supported");
   }
 
-  /// Publishes this rank's prefetch progress (position in its access
-  /// stream); peers read it via watermark_of().  Used by the remote-cache
-  /// readiness heuristic (Sec. 5.2.2).
-  virtual void publish_watermark(std::uint64_t position) = 0;
-
-  /// Most recently published watermark of `peer` (0 if never published).
-  [[nodiscard]] virtual std::uint64_t watermark_of(int peer) const = 0;
+  /// Retired prefetch-progress gossip: no transport sends it, and the
+  /// remote-readiness heuristic reads only local class progress
+  /// (core::RemoteReadiness).  These no-op virtuals stay only until the
+  /// next benchmark change drops perfbench's decorator overrides of them.
+  virtual void publish_watermark(std::uint64_t position) { (void)position; }
+  [[nodiscard]] virtual std::uint64_t watermark_of(int peer) const {
+    (void)peer;
+    return 0;
+  }
 
   /// Bytes moved through this rank's NIC so far (diagnostics).
   [[nodiscard]] virtual double transferred_mb() const = 0;

@@ -375,7 +375,10 @@ IoStatus FrameReader::fill_from(int fd, std::size_t max_bytes) {
         continue;
       }
     }
-    if (n == 0) return IoStatus::kEof;
+    // A reset is the peer leaving as surely as a FIN: a rank that closes
+    // with our frames still unread in its socket (an elastic world's
+    // teardown) sends one.
+    if (n == 0 || errno == ECONNRESET) return IoStatus::kEof;
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return IoStatus::kWouldBlock;
     throw std::runtime_error(std::string("wire: recv: ") +

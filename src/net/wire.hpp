@@ -7,8 +7,8 @@
 //
 // All integers are little-endian regardless of host order (the encode/decode
 // helpers below are byte-explicit).  `arg` carries the small fixed operand of
-// each message (rank, sample id, watermark position) so the common cases —
-// barriers, fetch requests, watermark gossip — need no payload allocation.
+// each message (rank, sample id) so the common cases — barriers, fetch
+// requests, fetch misses — need no payload allocation.
 // The payload length is bounded per message type (max_payload_bytes) before
 // anything is allocated: fixed-size frames by their exact size, variable
 // ones by kMaxPayloadBytes, so a corrupt or truncated header fails loudly
@@ -58,11 +58,12 @@ inline constexpr std::uint32_t kMaxWelcomeRanks = 1u << 20;
 /// elastic (DESIGN.md Sec. 11): the rendezvous kHello carries max_world so
 /// every rank sizes its tables for late joiners, and rank 0 keeps the
 /// rendezvous listener open to admit ranks in [world_size, max_world) after
-/// the base world is up — so a mixed-version world fails loudly at the
-/// handshake instead of misreading frames mid-rollout.  The high bytes
-/// spell "NP", so the version field can never be confused with a plausible
-/// world size (the field an unversioned peer sends first).
-inline constexpr std::uint32_t kProtocolVersion = 0x4E500005u;
+/// the base world is up; revision 6 retired kWatermark gossip (a serve
+/// session now rejects the frame) — so a mixed-version world fails loudly
+/// at the handshake instead of misreading frames mid-rollout.  The high
+/// bytes spell "NP", so the version field can never be confused with a
+/// plausible world size (the field an unversioned peer sends first).
+inline constexpr std::uint32_t kProtocolVersion = 0x4E500006u;
 
 enum class MsgType : std::uint8_t {
   kHello = 1,      ///< rank -> rendezvous: arg=rank, payload=[u32 protocol,
@@ -75,7 +76,9 @@ enum class MsgType : std::uint8_t {
   kFetch = 5,      ///< requester -> server: arg = sample id
   kHit = 6,        ///< server -> requester: payload = sample bytes
   kMiss = 7,       ///< server -> requester: sample not (yet) cached
-  kWatermark = 8,  ///< one-way gossip: arg = position, payload=[u32 rank]
+  kWatermark = 8,  ///< retired in revision 6 (was prefetch-progress gossip,
+                   ///<   payload=[u32 rank]); kept until the benchmark's
+                   ///<   codec probe stops encoding it
   // PFS contention accounting (DESIGN.md Sec. 7.4): rank 0 hosts the
   // authoritative job-wide active-reader counter.  One kPfsDelta frame
   // carries the NET effect of any number of coalesced acquire/release
@@ -267,7 +270,7 @@ void put_sim_result(std::vector<std::uint8_t>& out,
 
 /// Result of pumping a non-blocking fd: made bounded progress (more may be
 /// pending — level-triggered epoll will refire), drained the fd until it
-/// would block, or hit clean EOF.
+/// would block, or hit EOF (a FIN or a reset: the peer is gone).
 enum class IoStatus { kDone, kWouldBlock, kEof };
 
 /// One fully parsed inbound frame.
@@ -300,9 +303,10 @@ class FrameReader {
   /// again on its next iteration.
   static constexpr std::size_t kDefaultReadBudget = 4u << 20;
 
-  /// Pumps bytes from `fd` until it would block, reaches EOF, or roughly
-  /// `max_bytes` have been consumed.  Throws std::runtime_error on a
-  /// malformed frame or a socket error (EINTR is retried internally).
+  /// Pumps bytes from `fd` until it would block, reaches EOF (ECONNRESET
+  /// included), or roughly `max_bytes` have been consumed.  Throws
+  /// std::runtime_error on a malformed frame or any other socket error
+  /// (EINTR is retried internally).
   IoStatus fill_from(int fd, std::size_t max_bytes = kDefaultReadBudget);
 
   [[nodiscard]] bool has_frame() const noexcept { return !ready_.empty(); }

@@ -175,7 +175,9 @@ void worker_loop(const data::Dataset& dataset, const RuntimeConfig& config,
           compute.charge(virtual_s / config.time_scale);
         }
       }
-      // The allreduce: every worker waits for the slowest.
+      // The allreduce: every worker waits for the slowest.  It is the
+      // step's only collective: a rank records its timings after it, and
+      // nothing in the loop reads them.
       sync();
       if (record) {
         const double t = now_s();
@@ -187,7 +189,6 @@ void worker_loop(const data::Dataset& dataset, const RuntimeConfig& config,
         }
         marks.batch_mark = t;
       }
-      sync();  // recording done; next iteration may start
     }
     if (record) {
       const double t = now_s();

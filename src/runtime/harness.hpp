@@ -60,8 +60,8 @@ struct RuntimeConfig {
   /// where each process's t(gamma) curve sees only its own readers.
   bool shared_pfs_contention = true;
   /// Shape of the batched gamma gossip (multi-process runs): reader threads
-  /// enqueue transitions, a dedicated gossip thread drains them as one net
-  /// kPfsDelta per flush window.  The GossipConfig defaults coalesce a few
+  /// enqueue transitions, the transport's gossip timer drains them as one
+  /// net kPfsDelta per flush window.  The GossipConfig defaults coalesce a few
   /// virtual milliseconds of transitions per frame, which keeps worlds
   /// >> 10 ranks cheap; flush_virtual_s = 0 restores the per-transition
   /// sends (tests pin that both shapes produce identical digests and gamma

@@ -5,6 +5,7 @@
 //     contract; deterministic stats match exactly);
 //   * an in-process 2-rank socket world reproduces the threaded harness's
 //     delivered digest while exercising the full wire protocol;
+//   * a training step runs exactly one collective (its allreduce);
 //   * 2 real OS processes (examples/nopfs_worker, spawned with fork/exec
 //     over a loopback rendezvous) complete a NoPFS run, agree with each
 //     other, and agree with the threaded harness.
@@ -16,11 +17,16 @@
 #include <array>
 #include <cstdint>
 #include <fstream>
+#include <memory>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "net/sim_transport.hpp"
 #include "net/socket_transport.hpp"
 #include "runtime/harness.hpp"
 #include "scenario/scenario.hpp"
@@ -142,6 +148,83 @@ TEST(DistributedRuntime, TwoRankSocketWorldMatchesThreadedHarness) {
   EXPECT_EQ(results[0].delivered_digest, threaded.delivered_digest);
   EXPECT_EQ(results[0].verified_samples, expected_verified(2));
   EXPECT_EQ(results[0].verification_failures, 0u);
+}
+
+/// Forwards to a SimTransport rank and counts its collectives.
+class CountingTransport final : public net::Transport {
+ public:
+  explicit CountingTransport(net::Transport& inner) : inner_(inner) {}
+
+  [[nodiscard]] int rank() const override { return inner_.rank(); }
+  [[nodiscard]] int world_size() const override { return inner_.world_size(); }
+  std::vector<net::Bytes> allgather(net::Bytes local) override {
+    ++allgathers;
+    return inner_.allgather(std::move(local));
+  }
+  void barrier() override {
+    ++barriers;
+    inner_.barrier();
+  }
+  void set_serve_handler(ServeHandler handler) override {
+    inner_.set_serve_handler(std::move(handler));
+  }
+  std::optional<net::Bytes> fetch_sample(int peer, std::uint64_t id) override {
+    return inner_.fetch_sample(peer, id);
+  }
+  bool fetch_sample_into(int peer, std::uint64_t id,
+                         std::span<std::uint8_t> out) override {
+    return inner_.fetch_sample_into(peer, id, out);
+  }
+  int pfs_adjust(int delta) override { return inner_.pfs_adjust(delta); }
+  void set_pfs_listener(PfsListener listener) override {
+    inner_.set_pfs_listener(std::move(listener));
+  }
+  [[nodiscard]] double transferred_mb() const override {
+    return inner_.transferred_mb();
+  }
+
+  int barriers = 0;
+  int allgathers = 0;
+
+ private:
+  net::Transport& inner_;
+};
+
+TEST(DistributedRuntime, OneCollectivePerTrainingStep) {
+  // The step's allreduce is its only collective.  Set-up adds three
+  // barriers (the NoPFS job's serve-handler fence, everyone ready, start
+  // together) and two allgathers (the cache plans, the final stats).
+  constexpr int kWorld = 2;
+  const auto dataset = worker_dataset();
+  const RuntimeConfig config = worker_config(kWorld, baselines::LoaderKind::kNoPFS);
+  const int steps = kEpochs * static_cast<int>(kSamples / (kPerWorkerBatch * kWorld));
+
+  tiers::RealClock clock;
+  tiers::EmulatedCluster cluster(clock, config.system, config.time_scale);
+  auto sims = net::make_sim_transports(kWorld, &cluster);
+  std::vector<std::unique_ptr<CountingTransport>> counted;
+  for (auto& sim : sims) counted.push_back(std::make_unique<CountingTransport>(*sim));
+  std::array<RuntimeResult, kWorld> results;
+  std::array<std::string, kWorld> errors;
+  std::vector<std::thread> ranks;
+  for (int r = 0; r < kWorld; ++r) {
+    ranks.emplace_back([&, r] {
+      try {
+        results[static_cast<std::size_t>(r)] = run_distributed(
+            dataset, config, *counted[static_cast<std::size_t>(r)], &cluster);
+      } catch (const std::exception& ex) {
+        errors[static_cast<std::size_t>(r)] = ex.what();
+      }
+    });
+  }
+  for (auto& t : ranks) t.join();
+  for (int r = 0; r < kWorld; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    ASSERT_TRUE(errors[i].empty()) << errors[i];
+    EXPECT_EQ(counted[i]->barriers, steps + 3) << "rank " << r;
+    EXPECT_EQ(counted[i]->allgathers, 2) << "rank " << r;
+    EXPECT_EQ(results[i].verified_samples, expected_verified(kWorld));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -130,16 +130,9 @@ class FakeTransport final : public net::Transport {
     ++fetches;
     return net::Bytes{static_cast<std::uint8_t>(id)};
   }
-  void publish_watermark(std::uint64_t position) override {
-    watermark = position;
-  }
-  [[nodiscard]] std::uint64_t watermark_of(int) const override {
-    return watermark;
-  }
   [[nodiscard]] double transferred_mb() const override { return 0.0; }
 
   int fetches = 0;
-  std::uint64_t watermark = 0;
 };
 
 TEST(FaultTransport, DropsFetchesInsideTheWindowOnly) {
@@ -172,8 +165,6 @@ TEST(FaultTransport, DropsFetchesInsideTheWindowOnly) {
   EXPECT_TRUE(unaffected.fetch_sample(0, 9).has_value());
 
   // Non-fetch surface forwards.
-  up.publish_watermark(42);
-  EXPECT_EQ(up.watermark_of(0), 42u);
   EXPECT_EQ(up.rank(), 1);
   EXPECT_EQ(up.world_size(), 2);
 }

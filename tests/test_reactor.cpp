@@ -1,12 +1,12 @@
 // Conformance suite for the epoll reactor (DESIGN.md Sec. 7.5) plus the
 // reactor-backed SocketTransport paths the threaded-era suite could not
-// exercise: task FIFO, timer ordering, fd dispatch, level-triggered
-// re-delivery of unread bytes, generation-tagged re-registration, the
-// mod_fd missed-edge hazard, the pipelined-fetch ticket API (dozens of
-// kFetch in flight on ONE connection, interleaved with kPfsDelta gossip on
-// the same wire), bursts larger than the read budget, and dead-rank gamma
-// release when a peer process dies abruptly (fork + _exit, the real crash
-// shape).
+// exercise: task FIFO, timer ordering, sub-millisecond timer precision, fd
+// dispatch, level-triggered re-delivery of unread bytes, generation-tagged
+// re-registration, the mod_fd missed-edge hazard, the pipelined-fetch
+// ticket API (dozens of kFetch in flight on ONE connection, interleaved
+// with kPfsDelta gossip on the same wire), bursts larger than the read
+// budget, and dead-rank gamma release when a peer process dies abruptly
+// (fork + _exit, the real crash shape).
 
 #include <gtest/gtest.h>
 
@@ -103,6 +103,38 @@ TEST(Reactor, TimersFireInDeadlineOrderWithPostOrderTieBreak) {
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   }
   reactor->stop();
+}
+
+TEST(Reactor, SubMillisecondTimersKeepTheirPeriodOnAnIdleLoop) {
+  // The gamma-gossip tick is a 50 us reactor timer.  A poll that rounded
+  // its wait up to whole milliseconds would stretch every link of this
+  // chain to at least 1 ms (200 ms in all) and the gossip window with it.
+  constexpr int kLinks = 200;
+  auto reactor = std::make_unique<Reactor>();
+  std::mutex mutex;
+  std::condition_variable cv;
+  int fired = 0;
+  std::function<void()> link = [&] {
+    const std::scoped_lock lock(mutex);
+    if (++fired < kLinks) {
+      reactor->call_later(50e-6, link);
+    } else {
+      cv.notify_all();
+    }
+  };
+  const auto start = std::chrono::steady_clock::now();
+  reactor->post([&] { reactor->call_later(50e-6, link); });
+  reactor->start();
+  {
+    std::unique_lock lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return fired == kLinks; }));
+  }
+  const double elapsed_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+          .count();
+  reactor->stop();
+  EXPECT_LT(elapsed_ms, 150.0) << kLinks << " chained 50 us timers";
 }
 
 TEST(Reactor, DispatchesFdEventsAndHonorsSelfRemoval) {

@@ -264,8 +264,6 @@ TEST(SharedPfs, TransportWithoutAccountingDegradesToLocalGamma) {
     std::optional<net::Bytes> fetch_sample(int, std::uint64_t) override {
       return std::nullopt;
     }
-    void publish_watermark(std::uint64_t) override {}
-    [[nodiscard]] std::uint64_t watermark_of(int) const override { return 0; }
     [[nodiscard]] double transferred_mb() const override { return 0.0; }
   };
   NullTransport transport;

@@ -1,6 +1,6 @@
 // Tests for the TCP/loopback transport: the rendezvous handshake, the wire
-// protocol (framing, collectives, fetch round-trip, watermark gossip) and
-// byte accounting.  Worlds here are threads of this process, each owning a
+// protocol (framing, collectives, fetch round-trip) and byte accounting.
+// Worlds here are threads of this process, each owning a
 // real socket endpoint — the multi-PROCESS path is covered by
 // tests/test_distributed_runtime.cpp.
 
@@ -761,23 +761,6 @@ TEST(SocketTransport, BufferErasedWhileItsHitIsQueuedArrivesIntact) {
   eraser.join();
   EXPECT_EQ(out, sample);
   endpoints[1]->set_serve_handler({});
-}
-
-TEST(SocketTransport, WatermarksPropagate) {
-  auto endpoints = make_world(3);
-  EXPECT_EQ(endpoints[0]->watermark_of(1), 0u);
-  endpoints[1]->publish_watermark(123);
-  // Gossip is asynchronous (unlike SimTransport's shared memory): poll.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while ((endpoints[0]->watermark_of(1) != 123u ||
-          endpoints[2]->watermark_of(1) != 123u) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(endpoints[0]->watermark_of(1), 123u);
-  EXPECT_EQ(endpoints[2]->watermark_of(1), 123u);
-  EXPECT_EQ(endpoints[1]->watermark_of(1), 123u);  // own view is immediate
 }
 
 TEST(SocketTransport, ConcurrentFetchesAreSafe) {

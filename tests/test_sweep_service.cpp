@@ -3,9 +3,11 @@
 // guided grants cover the grid exactly once (with idempotent duplicate
 // folds at the tail), checkpoints survive a round-trip and reject foreign
 // grids, a 1-rank service run is bit-identical to the local SweepRunner,
-// a 3-rank socket world matches the serial digest, an interrupted sweep
-// resumes bit-identically without re-executing any completed cell, and no
-// sweep thread waits on another thread's straggler cell.
+// a 3-rank socket world matches the serial digest, an elastic worker's
+// pull that beats rank 0's service installation is parked and answered, an
+// interrupted sweep resumes bit-identically without re-executing any
+// completed cell, and no sweep thread waits on another thread's straggler
+// cell.
 
 #include <gtest/gtest.h>
 
@@ -479,6 +481,58 @@ TEST(SweepService, ThreeRankSocketWorldMatchesSerialDigest) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     three_rank_socket_world(threads);
   }
+}
+
+TEST(SweepService, ElasticPullBeforeTheServiceIsInstalledIsAnsweredOnce) {
+  // An elastic world has no start barrier: rank 1 pulls while rank 0 has
+  // not installed its service yet.  Rank 0 parks the pull and answers it
+  // at installation, so rank 1 still wins grants and runs cells instead of
+  // losing its channel and quitting empty-handed.
+  constexpr std::uint64_t kCells = 40;
+  const std::uint64_t signature = 0x515705u;
+  const std::uint16_t port = net::pick_free_port();
+  const auto evaluate = [](std::uint64_t i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return cell_result(i);
+  };
+  SweepServiceOptions service;
+  service.num_threads = 1;
+  service.elastic = true;
+
+  std::vector<SweepServiceReport> reports(2);
+  std::vector<std::string> errors(2);
+  std::vector<std::thread> ranks;
+  for (int r = 0; r < 2; ++r) {
+    ranks.emplace_back([&, r] {
+      try {
+        net::SocketOptions options;
+        options.rank = r;
+        options.world_size = 2;
+        options.rendezvous_port = port;
+        options.timeout_s = 60.0;
+        net::SocketTransport transport(options);
+        // Rank 1 pulls at once; rank 0 installs its service well after
+        // that pull has reached it.
+        if (r == 0) std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        reports[static_cast<std::size_t>(r)] =
+            run_sweep_service(&transport, kCells, evaluate, signature, service);
+      } catch (const std::exception& ex) {
+        errors[static_cast<std::size_t>(r)] = ex.what();
+      }
+    });
+  }
+  for (auto& t : ranks) t.join();
+  EXPECT_EQ(errors[0], "");
+  EXPECT_EQ(errors[1], "");
+
+  const SweepServiceReport& root = reports[0];
+  EXPECT_EQ(root.stats.completed_cells, kCells);
+  EXPECT_GT(reports[1].stats.executed_cells, 0u) << "rank 1 never got a grant";
+  // No final barrier in an elastic world: a tail duplicate whose result
+  // lands after rank 0 returned is executed but never folded.
+  EXPECT_GE(root.stats.executed_cells + reports[1].stats.executed_cells, kCells);
+  EXPECT_EQ(sweep_results_digest(root.results),
+            sweep_results_digest(direct_results(kCells)));
 }
 
 void interrupt_then_resume(int threads) {

@@ -1,5 +1,5 @@
-// Tests for the MPI-substitute transport: allgather, barrier, remote sample
-// serving, watermark gossip (paper Sec. 5.2.2 communication surface).
+// Tests for the MPI-substitute transport: allgather, barrier and remote
+// sample serving (paper Sec. 5.2.2 communication surface).
 
 #include <gtest/gtest.h>
 
@@ -202,16 +202,6 @@ TEST(FaultTransport, FetchSampleIntoDropsInsideTheWindowAndForwardsOutside) {
   EXPECT_EQ(out, Bytes(5, 0xee));
   EXPECT_EQ(down.dropped_fetches(), 1);
   EXPECT_DOUBLE_EQ(down.transferred_mb(), before);
-}
-
-TEST(SimTransport, WatermarksPropagate) {
-  auto endpoints = make(3);
-  EXPECT_EQ(endpoints[0]->watermark_of(1), 0u);
-  endpoints[1]->publish_watermark(123);
-  EXPECT_EQ(endpoints[0]->watermark_of(1), 123u);
-  EXPECT_EQ(endpoints[2]->watermark_of(1), 123u);
-  endpoints[1]->publish_watermark(456);
-  EXPECT_EQ(endpoints[0]->watermark_of(1), 456u);
 }
 
 TEST(SimTransport, ConcurrentFetchesAreSafe) {
