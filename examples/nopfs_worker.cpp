@@ -122,7 +122,6 @@ struct Args {
   double time_scale = 0.0;
   double timeout_s = 120.0;
   bool verify = true;
-  bool per_process_pfs = false;
   // Gamma-gossip overrides (scenario defaults otherwise; DESIGN.md
   // Sec. 7.4).  flush < 0 = "not passed".
   double pfs_flush_virtual_s = -1.0;
@@ -148,8 +147,8 @@ void usage(const char* argv0) {
          "          [--samples F] [--epochs E] [--seed S] [--per-worker-batch B]\n"
          "          [--time-scale X] [--timeout-s T] [--quick] [--no-verify]\n"
          "          [--json-out PATH]\n"
-         "          [--per-process-pfs]   (opt out of job-wide PFS contention)\n"
          "          [--pfs-flush-interval VIRT_S] [--pfs-max-batch N]\n"
+         "                                (gamma gossip window; 0 = flush at once)\n"
          "          [--thread-weighted-gamma]   (gamma counts reader threads)\n"
          "Without --rendezvous the scenario's world runs as threads in this\n"
          "process; with it this process is ONE rank (world size defaults to 1).\n";
@@ -237,8 +236,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.quick = true;
     } else if (flag == "--no-verify") {
       args.verify = false;
-    } else if (flag == "--per-process-pfs") {
-      args.per_process_pfs = true;
     } else if (flag == "--pfs-flush-interval") {
       args.pfs_flush_virtual_s = std::stod(value(i));
       if (args.pfs_flush_virtual_s < 0.0) {
@@ -517,7 +514,6 @@ int main(int argc, char** argv) {
     if (args.per_worker_batch > 0) config.per_worker_batch = args.per_worker_batch;
     if (args.time_scale > 0.0) config.time_scale = args.time_scale;
     config.verify_content = args.verify;
-    config.shared_pfs_contention = !args.per_process_pfs;
     if (args.pfs_flush_virtual_s >= 0.0) {
       config.pfs_gossip.flush_virtual_s = args.pfs_flush_virtual_s;
     }

@@ -136,35 +136,6 @@ void SimTransport::set_pfs_listener(PfsListener listener) {
   fabric_->pfs_listeners_[static_cast<std::size_t>(rank_)] = std::move(listener);
 }
 
-void SimTransport::set_sweep_service(SweepService service) {
-  if ((service.on_pull || service.on_result) && rank_ != 0) {
-    throw std::runtime_error("SimTransport: the sweep service lives on rank 0");
-  }
-  const std::scoped_lock lock(fabric_->sweep_mutex_);
-  fabric_->sweep_service_ = std::move(service);
-}
-
-std::optional<std::pair<bool, Bytes>> SimTransport::sweep_pull(Bytes pull) {
-  if (rank_ == 0) {
-    throw std::runtime_error("SimTransport: rank 0 cannot pull from itself");
-  }
-  // The emulated RPC: a direct call into rank 0's handler under the fabric
-  // sweep mutex (same serve discipline as fetch_sample).
-  const std::scoped_lock lock(fabric_->sweep_mutex_);
-  if (!fabric_->sweep_service_.on_pull) return std::nullopt;
-  return fabric_->sweep_service_.on_pull(rank_, std::move(pull));
-}
-
-void SimTransport::sweep_push_result(Bytes batch) {
-  if (rank_ == 0) {
-    throw std::runtime_error("SimTransport: rank 0 folds results locally");
-  }
-  const std::scoped_lock lock(fabric_->sweep_mutex_);
-  if (fabric_->sweep_service_.on_result) {
-    fabric_->sweep_service_.on_result(rank_, std::move(batch));
-  }
-}
-
 double SimTransport::transferred_mb() const {
   if (nic_ != nullptr) return nic_->total_transferred_mb();
   return transferred_mb_no_nic_.load(std::memory_order_relaxed);

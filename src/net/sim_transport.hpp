@@ -73,13 +73,6 @@ class SimFabric {
   std::mutex pfs_mutex_;
   std::vector<int> pfs_readers_;
   std::vector<Transport::PfsListener> pfs_listeners_;
-
-  // Sweep service (rank 0 only; DESIGN.md Sec. 10).  Same fencing rule as
-  // the serve handlers: the mutex is held while (re)installing AND for the
-  // duration of a handler call, so withdrawal cannot race an in-flight
-  // pull.  Worker ranks call the handlers directly — the emulated RPC.
-  std::mutex sweep_mutex_;
-  Transport::SweepService sweep_service_;
 };
 
 /// One rank's endpoint on a SimFabric.
@@ -102,10 +95,6 @@ class SimTransport final : public Transport {
 
   int pfs_adjust(int delta) override;
   void set_pfs_listener(PfsListener listener) override;
-
-  void set_sweep_service(SweepService service) override;
-  std::optional<std::pair<bool, Bytes>> sweep_pull(Bytes pull) override;
-  void sweep_push_result(Bytes batch) override;
 
   [[nodiscard]] double transferred_mb() const override;
 

@@ -37,76 +37,6 @@ using Clock = std::chrono::steady_clock;
                            std::strerror(errno));
 }
 
-void set_socket_timeout(int fd, int option, double seconds) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>((seconds - static_cast<double>(tv.tv_sec)) * 1e6);
-  if (::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv)) != 0) {
-    throw_errno("setsockopt(timeout)");
-  }
-}
-
-/// Writes exactly `len` bytes; throws on any error (including timeout).
-void send_all(int fd, const std::uint8_t* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("send");
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-}
-
-/// Reads exactly `len` bytes.  Returns false on clean EOF before the first
-/// byte; throws on errors, timeouts, and mid-buffer EOF.
-bool recv_all(int fd, std::uint8_t* data, std::size_t len) {
-  std::size_t got = 0;
-  while (got < len) {
-    const ssize_t n = ::recv(fd, data + got, len - got, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        throw std::runtime_error("SocketTransport: recv timed out");
-      }
-      throw_errno("recv");
-    }
-    if (n == 0) {
-      if (got == 0) return false;
-      throw std::runtime_error("SocketTransport: peer closed mid-frame");
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// One blocking frame out (the rendezvous handshake only; everything else
-/// rides the reactor's SendQueues).
-void send_frame_blocking(int fd, wire::MsgType type, std::uint64_t arg,
-                         const Bytes& payload) {
-  if (payload.size() > wire::max_payload_bytes(type)) {
-    throw std::runtime_error("SocketTransport: frame payload too large");
-  }
-  std::uint8_t header[wire::kHeaderBytes];
-  wire::encode_header(header, type, arg,
-                      static_cast<std::uint32_t>(payload.size()));
-  send_all(fd, header, sizeof(header));
-  if (!payload.empty()) send_all(fd, payload.data(), payload.size());
-}
-
-/// One blocking frame in.  Returns false on clean EOF at a frame boundary.
-bool recv_frame_blocking(int fd, wire::FrameHeader& header, Bytes& payload) {
-  std::uint8_t raw[wire::kHeaderBytes];
-  if (!recv_all(fd, raw, sizeof(raw))) return false;
-  header = wire::decode_header(raw);
-  payload.resize(header.payload_len);
-  if (header.payload_len > 0 && !recv_all(fd, payload.data(), payload.size())) {
-    throw std::runtime_error("SocketTransport: peer closed mid-frame");
-  }
-  return true;
-}
-
 std::uint32_t resolve_ipv4(const std::string& host) {
   in_addr addr{};
   if (::inet_pton(AF_INET, host.c_str(), &addr) != 1) {
@@ -208,7 +138,8 @@ struct SocketTransport::PendingFetch {
 struct SocketTransport::Session : std::enable_shared_from_this<Session> {
   // Kind is fixed at accept/dial time except for one transition: an
   // accepted rendezvous connection becomes the root's control connection
-  // to the rank it introduced (kRendezvous -> kControl).
+  // to the rank it introduced (kRendezvous -> kControl).  A peer's control
+  // connection is dialed as kControl and stays in kHandshake until kWelcome.
   enum class Kind {
     kRendezvous,  ///< accepted on the rendezvous listener, pre-kHello
     kControl,     ///< collective channel (root: per peer; non-root: to root)
@@ -259,6 +190,7 @@ struct SocketTransport::Session : std::enable_shared_from_this<Session> {
   int pfs_rank_on_conn = -1;
 
   /// kRendezvous: the peer address captured at accept (its reachable IPv4).
+  /// A peer's kControl: the root address it dialed.
   std::uint32_t peer_ipv4 = 0;
 };
 
@@ -311,8 +243,9 @@ struct SocketTransport::Loop {
   std::shared_ptr<Session> control;                 // non-root: to the root
   std::vector<std::shared_ptr<Session>> dirty;
 
-  // Rendezvous (root).
-  int rendezvous_remaining = 0;
+  // Rendezvous.  The waiter is the root's wait for the base ranks, or a
+  // peer's wait for kWelcome.
+  int rendezvous_remaining = 0;  // root
   std::shared_ptr<SyncWaiter> rendezvous_waiter;
 
   // Collectives.  At most one in flight (collective_mutex_ serializes the
@@ -651,6 +584,8 @@ void SocketTransport::loop_rendezvous_hello(
 
 void SocketTransport::rendezvous_as_peer() {
   const std::uint32_t root_ipv4 = resolve_ipv4(options_.rendezvous_host);
+  const std::string where =
+      options_.rendezvous_host + ":" + std::to_string(options_.rendezvous_port);
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(options_.timeout_s));
@@ -667,32 +602,59 @@ void SocketTransport::rendezvous_as_peer() {
     fd = -1;
     if (Clock::now() >= deadline) {
       throw std::runtime_error("SocketTransport: rendezvous connect timed out (" +
-                               options_.rendezvous_host + ":" +
-                               std::to_string(options_.rendezvous_port) + ")");
+                               where + ")");
     }
     std::this_thread::sleep_for(backoff);
     backoff = std::min(backoff * 2, std::chrono::milliseconds(250));
   }
-  set_socket_timeout(fd, SO_RCVTIMEO, options_.timeout_s);
-  set_socket_timeout(fd, SO_SNDTIMEO, options_.timeout_s);
-
-  bool registered = false;
   try {
-    Bytes hello;
-    wire::put_u32(hello, wire::kProtocolVersion);
-    wire::put_u32(hello, static_cast<std::uint32_t>(options_.world_size));
-    wire::put_u16(hello, serve_port_);
-    wire::put_u32(hello, static_cast<std::uint32_t>(options_.max_world));
-    send_frame_blocking(fd, wire::MsgType::kHello,
-                        static_cast<std::uint64_t>(options_.rank), hello);
+    make_nonblocking(fd);
+  } catch (...) {
+    ::close(fd);
+    throw;
+  }
 
-    wire::FrameHeader header;
-    Bytes payload;
-    if (!recv_frame_blocking(fd, header, payload) ||
-        header.type != wire::MsgType::kWelcome) {
+  // The handshake runs on the reactor like every other frame: kHello goes
+  // out through the control session's send queue, and loop_peer_welcome
+  // fulfils the waiter when kWelcome arrives.  Any collective posted after
+  // the constructor returns finds loop_->control in place (FIFO task order).
+  Bytes hello;
+  wire::put_u32(hello, wire::kProtocolVersion);
+  wire::put_u32(hello, static_cast<std::uint32_t>(options_.world_size));
+  wire::put_u16(hello, serve_port_);
+  wire::put_u32(hello, static_cast<std::uint32_t>(options_.max_world));
+  auto waiter = std::make_shared<SyncWaiter>();
+  reactor_->post([this, fd, root_ipv4, waiter, hello = std::move(hello)]() mutable {
+    loop_->rendezvous_waiter = waiter;
+    const auto session =
+        loop_make_session(fd, static_cast<int>(Session::Kind::kControl),
+                          static_cast<int>(Session::State::kHandshake));
+    session->peer = 0;
+    session->peer_ipv4 = root_ipv4;
+    loop_->control = session;
+    session->sendq.push(wire::MsgType::kHello,
+                        static_cast<std::uint64_t>(options_.rank), std::move(hello));
+    loop_mark_dirty(session);
+  });
+  const double left_s =
+      std::chrono::duration<double>(deadline - Clock::now()).count();
+  if (!waiter->wait_for(std::max(0.0, left_s))) {
+    throw std::runtime_error("SocketTransport: rendezvous with " + where +
+                             " timed out waiting for kWelcome");
+  }
+  const std::scoped_lock lock(waiter->m);
+  if (!waiter->ok) {
+    throw std::runtime_error(waiter->error + " (rendezvous with " + where + ")");
+  }
+}
+
+void SocketTransport::loop_peer_welcome(const std::shared_ptr<Session>& session,
+                                        wire::Frame frame) {
+  try {
+    if (frame.header.type != wire::MsgType::kWelcome) {
       throw std::runtime_error("SocketTransport: expected kWelcome from rendezvous");
     }
-    wire::Reader reader(payload);
+    wire::Reader reader(frame.payload);
     const std::uint32_t root_protocol = reader.u32();
     if (root_protocol != wire::kProtocolVersion) {
       throw std::runtime_error("SocketTransport: rendezvous speaks protocol " +
@@ -704,23 +666,15 @@ void SocketTransport::rendezvous_as_peer() {
       endpoint.port = reader.u16();
     }
     // Rank 0 advertises ipv4 == 0, "the address you dialed".
-    if (endpoints_[0].ipv4 == 0) endpoints_[0].ipv4 = root_ipv4;
-
-    // Handshake done: hand the (now non-blocking) control connection to the
-    // reactor.  Posted before the constructor returns, so any collective
-    // posted afterwards finds loop_->control in place (FIFO task order).
-    make_nonblocking(fd);
-    reactor_->post([this, fd] {
-      const auto session =
-          loop_make_session(fd, static_cast<int>(Session::Kind::kControl),
-                            static_cast<int>(Session::State::kOpen));
-      session->peer = 0;
-      loop_->control = session;
-    });
-    registered = true;
-  } catch (...) {
-    if (!registered) ::close(fd);
-    throw;
+    if (endpoints_[0].ipv4 == 0) endpoints_[0].ipv4 = session->peer_ipv4;
+    session->state = Session::State::kOpen;
+    if (loop_->rendezvous_waiter) {
+      loop_->rendezvous_waiter->fulfill_ok();
+      loop_->rendezvous_waiter.reset();
+    }
+  } catch (const std::exception& ex) {
+    loop_fail_rendezvous(ex.what());
+    throw;  // loop_on_session_event closes the session
   }
 }
 
@@ -828,7 +782,11 @@ void SocketTransport::loop_dispatch_frame(const std::shared_ptr<Session>& sessio
       loop_channel_reply(session, std::move(frame));
       return;
     case Session::Kind::kControl:
-      loop_control_frame(session, std::move(frame));
+      if (session->state == Session::State::kHandshake) {
+        loop_peer_welcome(session, std::move(frame));
+      } else {
+        loop_control_frame(session, std::move(frame));
+      }
       return;
   }
 }
@@ -919,7 +877,12 @@ void SocketTransport::loop_close_session(const std::shared_ptr<Session>& session
           loop_->controls[static_cast<std::size_t>(session->peer)] == session) {
         loop_->controls[static_cast<std::size_t>(session->peer)].reset();
       }
-      if (loop_->control == session) loop_->control.reset();
+      if (loop_->control == session) {
+        loop_->control.reset();
+        // Still in the handshake: a root that hung up before kWelcome.
+        loop_fail_rendezvous(
+            "SocketTransport: root closed the connection before kWelcome");
+      }
       if (session->peer >= options_.world_size) {
         // A late joiner leaving is an expected elastic event, not a torn
         // collective: joiners never participate in them.
@@ -1057,7 +1020,7 @@ void SocketTransport::loop_serve_frame(const std::shared_ptr<Session>& session,
       {
         const std::scoped_lock lock(sweep_mutex_);
         if (!sweep_service_.on_pull) {
-          // An elastic world has no start barrier, so a pull may beat the
+          // The sweep service has no start barrier, so a pull may beat the
           // service's installation: park it (and everything behind it on
           // this connection) until set_sweep_service replays it.
           loop_->parked_sessions.push_back(session);
@@ -1623,7 +1586,8 @@ double SocketTransport::flush_interval_s() const noexcept {
 }
 
 double SocketTransport::max_gossip_window_s() const noexcept {
-  return std::max(flush_interval_s(), kMinGossipWindowS);
+  const double interval = flush_interval_s();
+  return interval > 0.0 ? std::max(interval, kMinGossipWindowS) : 0.0;
 }
 
 int SocketTransport::pfs_root_fold(int rank, int delta, bool notify_local,
@@ -1642,8 +1606,7 @@ int SocketTransport::pfs_fold_locked(int rank, int delta, bool notify_local,
   int& readers = pfs_readers_[static_cast<std::size_t>(rank)];
   readers += delta;
   // A release folded after a dead-rank cleanup (or a lost acquire) must
-  // not drive the contribution negative — mirroring the unary protocol,
-  // where releasing an idle rank was a no-op.
+  // not drive the contribution negative: releasing an idle rank is a no-op.
   if (readers < 0) readers = 0;
   pfs_owner_[static_cast<std::size_t>(rank)] = readers > 0 ? conn_tag : nullptr;
   int gamma = 0;
@@ -1651,21 +1614,13 @@ int SocketTransport::pfs_fold_locked(int rank, int delta, bool notify_local,
   if (gamma == pfs_gamma_) return gamma;  // coalesced to a no-op
   pfs_gamma_ = gamma;
   if (notify_local && pfs_listener_) pfs_listener_(gamma);
-  if (flush_interval_s() > 0.0) {
-    // Batched mode: the gossip tick broadcasts within one flush interval —
-    // many folds coalesce into one window (that interval, plus the RTT, is
-    // the staleness bound), with the window's PEAK remembered so the
-    // envelope survives the coalescing.
-    pfs_broadcast_pending_ = true;
-    if (gamma > pfs_broadcast_peak_) pfs_broadcast_peak_ = gamma;
-    arm_gossip_locked();
-  } else {
-    // Unary mode: post the broadcast while still holding pfs_mutex_, so two
-    // racing transitions reach the reactor's FIFO queue — and therefore
-    // every peer — in the order they were folded.
-    const Bytes payload = wire::encode_pfs_gamma({gamma, ++pfs_gamma_seq_});
-    reactor_->post([this, payload] { loop_send_gossip({}, {payload}); });
-  }
+  // The gossip tick broadcasts within one flush window — many folds
+  // coalesce into one window (that window, plus the RTT, is the staleness
+  // bound), with the window's PEAK remembered so the envelope survives the
+  // coalescing.
+  pfs_broadcast_pending_ = true;
+  if (gamma > pfs_broadcast_peak_) pfs_broadcast_peak_ = gamma;
+  arm_gossip_locked();
   return gamma;
 }
 
@@ -1694,6 +1649,8 @@ void SocketTransport::pfs_apply_gamma(const wire::PfsGamma& update) {
 void SocketTransport::arm_gossip_locked() {
   if (gossip_armed_ || gossip_stop_) return;
   gossip_armed_ = true;
+  // A zero window (flush 0) is due at once: the reactor fires it in the
+  // same loop turn that runs this task.
   reactor_->post([this] {
     reactor_->call_later(gossip_window_s_, [this] { loop_gossip_tick(); });
   });
@@ -1788,8 +1745,9 @@ void SocketTransport::loop_gossip_tick() {
   const double max_s = max_gossip_window_s();
   const double min_s =
       options_.gossip.min_flush_virtual_s > 0.0
-          ? std::clamp(options_.gossip.min_flush_virtual_s / options_.time_scale,
-                       kMinGossipWindowS, max_s)
+          ? std::min(max_s, std::max(kMinGossipWindowS,
+                                     options_.gossip.min_flush_virtual_s /
+                                         options_.time_scale))
           : max_s;
   gossip_window_s_ = busy ? std::max(min_s, gossip_window_s_ * 0.5)
                           : std::min(max_s, gossip_window_s_ * 2.0);
@@ -1806,8 +1764,8 @@ int SocketTransport::pfs_adjust(int delta) {
     // Rank 0 folds its own transitions directly under the counter lock (the
     // caller learns the authoritative gamma from the return value; its
     // listener is only for changes it did not initiate) — only the
-    // BROADCAST batches, so a root reader thread never touches the wire in
-    // batched mode.
+    // BROADCAST rides the gossip tick, so a root reader thread never
+    // touches the wire.
     return pfs_root_fold(0, delta, /*notify_local=*/false);
   }
   const std::scoped_lock lock(pfs_mutex_);
@@ -1830,11 +1788,10 @@ int SocketTransport::pfs_adjust(int delta) {
   if (pending_delta_ > pending_max_prefix_) pending_max_prefix_ = pending_delta_;
   ++pending_transitions_;
   gossip_window_busy_ = true;
-  if (flush_interval_s() <= 0.0 || gossip_stop_ ||
-      pending_transitions_ == options_.gossip.max_batch) {
-    // Unary mode, a transition after teardown began, or a full batch: one
-    // flush now (a full batch posts once, however many transitions follow
-    // before the flush runs).
+  if (gossip_stop_ || pending_transitions_ == options_.gossip.max_batch) {
+    // A transition after teardown began, or a full batch: one flush now (a
+    // full batch posts once, however many transitions follow before the
+    // flush runs).
     reactor_->post([this] { loop_flush_gossip(); });
   } else {
     arm_gossip_locked();

@@ -11,6 +11,8 @@
 //     connect, introduce themselves (kHello: rank + the ephemeral port of
 //     their serve listener) and receive the full endpoint table back
 //     (kWelcome).  The control connections stay open and carry collectives.
+//     Both sides of the handshake run on the reactor, like every other
+//     frame (DESIGN.md Sec. 7.5).
 //   * Collectives: gather-to-root + broadcast.  Non-roots send kGather on
 //     their control connection and block on the kAllgather reply; the root
 //     reads one kGather per peer (TCP keeps per-connection FIFO order, and
@@ -90,16 +92,17 @@ struct SocketOptions {
   /// Rendezvous address rank 0 listens on and every other rank dials.
   std::string rendezvous_host = "127.0.0.1";
   std::uint16_t rendezvous_port = 0;  ///< must be nonzero
-  /// Wall-clock budget for the handshake and for any single blocking
-  /// socket operation; expiry throws rather than hanging a CI job.
+  /// Wall-clock budget for the whole rendezvous (dial and kWelcome) and for
+  /// any single blocking wait after it; expiry throws rather than hanging a
+  /// CI job.
   double timeout_s = 120.0;
   /// Optional emulated NIC: transfers are charged through it exactly as
   /// SimTransport charges them.  May be null (untimed, bytes still counted).
   tiers::NicDevice* nic = nullptr;
-  /// Contention-gossip batching.  The raw-transport default (flush 0)
-  /// flushes every transition as it happens — the unary-equivalence mode
+  /// Contention-gossip batching.  The raw-transport default (flush 0) is a
+  /// zero window: a transition's gossip tick is due at once, which
   /// wire-level tests and the acquire/release cycle bench rely on; the
-  /// harness passes its RuntimeConfig::pfs_gossip shape for batched worlds.
+  /// harness passes its RuntimeConfig::pfs_gossip shape.
   GossipConfig gossip{0.0, 128};
   /// Virtual seconds per real second: converts gossip.flush_virtual_s to a
   /// real flush cadence (matches RuntimeConfig::time_scale in the harness).
@@ -173,7 +176,7 @@ class SocketTransport final : public Transport {
   /// Posts a flush of any queued contention deltas (and, on rank 0, any
   /// pending coalesced gamma broadcast) ahead of the flush cadence: every
   /// transition made before the call is on the wire once the reactor runs
-  /// it.  Tests use it to make batched-mode assertions deterministic.
+  /// it.  Tests use it to make windowed-gossip assertions deterministic.
   void flush_pfs_gossip();
 
  private:
@@ -225,6 +228,10 @@ class SocketTransport final : public Transport {
                            wire::Frame frame);
   void loop_rendezvous_hello(const std::shared_ptr<Session>& session,
                              wire::Frame frame);
+  /// A peer's control session in kHandshake: checks and applies kWelcome,
+  /// then fulfils the rendezvous waiter.
+  void loop_peer_welcome(const std::shared_ptr<Session>& session,
+                         wire::Frame frame);
   void loop_serve_frame(const std::shared_ptr<Session>& session,
                         wire::Frame frame);
   /// Serves the sweep pulls parked while no service was installed (and the
@@ -261,8 +268,8 @@ class SocketTransport final : public Transport {
   /// Rank-0 side of the contention protocol: folds `delta` into `rank`'s
   /// reader-count contribution under pfs_mutex_, recomputes the
   /// authoritative gamma, optionally notifies the local listener and queues
-  /// (or, in unary mode, posts) the kPfsGamma broadcast.  Returns the new
-  /// gamma.  `conn_tag` identifies the serve session the frame arrived
+  /// the kPfsGamma broadcast for the gossip tick.  Returns the new gamma.
+  /// `conn_tag` identifies the serve session the frame arrived
   /// on (null for rank 0's own transitions); it is recorded as the rank's
   /// owner while the contribution is nonzero so the disconnect cleanup can
   /// tell a stale connection's orphan from live deltas on a redialed
@@ -272,7 +279,7 @@ class SocketTransport final : public Transport {
   int pfs_root_fold(int rank, int delta, bool notify_local,
                     const void* conn_tag = nullptr, std::uint32_t seq = 0);
   /// The fold body (contribution update, gamma recompute, listener,
-  /// broadcast-or-queue).  Caller must hold pfs_mutex_.
+  /// broadcast queue).  Caller must hold pfs_mutex_.
   int pfs_fold_locked(int rank, int delta, bool notify_local,
                       const void* conn_tag);
   /// Rank-0 disconnect cleanup: zeroes `rank`'s contribution iff `conn_tag`
@@ -280,16 +287,16 @@ class SocketTransport final : public Transport {
   void pfs_root_drop_dead_rank(int rank, const void* conn_tag);
   /// Non-root side: applies a kPfsGamma update from rank 0.
   void pfs_apply_gamma(const wire::PfsGamma& update);
-  /// Batched mode: posts the arming of the gossip tick unless a tick is
-  /// already scheduled.  Caller must hold pfs_mutex_.
+  /// Posts the arming of the gossip tick unless a tick is already
+  /// scheduled.  Caller must hold pfs_mutex_.
   void arm_gossip_locked();
   /// Takes the queued transitions as kPfsDelta payloads (the window's peak
   /// first when it exceeds the net) and, on rank 0, the pending coalesced
   /// broadcast as kPfsGamma payloads.  Caller must hold pfs_mutex_.
   void take_gossip_locked(std::vector<Bytes>& deltas, std::vector<Bytes>& gammas);
   /// Queues taken gossip on the channel to rank 0 (deltas) and on every
-  /// peer's channel (gammas).  All batched gossip is taken and queued on the
-  /// loop thread, so sequence order is wire order.
+  /// peer's channel (gammas).  All gossip is taken and queued on the loop
+  /// thread, so sequence order is wire order.
   void loop_send_gossip(const std::vector<Bytes>& deltas,
                         const std::vector<Bytes>& gammas);
   /// Takes and queues whatever gossip is pending.
@@ -300,7 +307,7 @@ class SocketTransport final : public Transport {
   /// Real-seconds flush cadence (gossip.flush_virtual_s / time_scale).
   [[nodiscard]] double flush_interval_s() const noexcept;
   /// The longest gossip window: the flush cadence, floored at
-  /// kMinGossipWindowS.
+  /// kMinGossipWindowS; zero for flush 0.
   [[nodiscard]] double max_gossip_window_s() const noexcept;
   /// Flushes gossip, drains every session's send queue on the reactor,
   /// stops the reactor, closes what's left.  Used by both the destructor
@@ -332,9 +339,9 @@ class SocketTransport final : public Transport {
   std::atomic<double> transferred_mb_no_nic_{0.0};
 
   // PFS contention state.  pfs_mutex_ guards all of it: it orders every
-  // gamma change, is held across the unary kPfsGamma broadcast POST (so
-  // peers never see updates out of order) and across listener invocation
-  // (so set_pfs_listener({}) fences).  The reactor thread takes it (folds,
+  // gamma change (the tick takes a broadcast's seq under it, so peers never
+  // see updates out of order) and is held across listener invocation (so
+  // set_pfs_listener({}) fences).  The reactor thread takes it (folds,
   // gossip ticks) but never blocks on a caller while holding it.
   std::mutex pfs_mutex_;
   std::vector<int> pfs_readers_;  ///< rank 0 only: per-rank reader count
@@ -347,8 +354,8 @@ class SocketTransport final : public Transport {
   int pfs_local_readers_ = 0;     ///< this rank's own net contribution
   std::uint32_t pfs_gamma_seq_ = 0;       ///< rank 0: broadcast seq (sent)
   std::uint32_t pfs_gamma_seen_ = 0;      ///< non-root: last applied broadcast
-  bool pfs_broadcast_pending_ = false;    ///< rank 0, batched mode
-  /// Rank 0, batched mode: highest gamma folded since the last broadcast.
+  bool pfs_broadcast_pending_ = false;    ///< rank 0
+  /// Rank 0: highest gamma folded since the last broadcast.
   /// A coalesced broadcast whose window saw a higher transient emits the
   /// peak first, then the settle value — so the gamma ENVELOPE survives
   /// coalescing, not just the endpoint (tests pin envelope parity).
@@ -371,8 +378,8 @@ class SocketTransport final : public Transport {
   bool gossip_armed_ = false;     ///< a gossip tick is scheduled or being armed
   bool gossip_window_busy_ = false;  ///< transitions since the last tick
   bool gossip_stop_ = false;      ///< teardown began: no tick re-arms
-  /// Shortest gossip window: a flush cadence below it would keep the
-  /// reactor waking for nothing.
+  /// Shortest nonzero gossip window: a positive flush cadence below it
+  /// would keep the reactor waking for nothing.
   static constexpr double kMinGossipWindowS = 50e-6;
   double gossip_window_s_ = 0.0;  ///< loop thread: the tick period
 };

@@ -31,13 +31,14 @@ using Bytes = std::vector<std::uint8_t>;
 /// reader-count transition is enqueued, not sent: a gossip timer drains
 /// the queue as one net kPfsDelta frame every `flush_virtual_s` VIRTUAL
 /// seconds (the transport divides by its time scale), or sooner once
-/// `max_batch` transitions are pending.  `flush_virtual_s == 0` selects the
-/// unary-equivalence mode: every transition posts its own flush, the
-/// historical per-transition protocol (tests pin that both modes deliver
-/// identical digests and gamma envelopes).  The defaults here are THE batched harness defaults —
-/// RuntimeConfig and the scenario registry inherit them, so the flush
-/// window is tuned in exactly one place; raw SocketOptions overrides to
-/// flush 0.  Transports without contention accounting ignore this.
+/// `max_batch` transitions are pending.  `flush_virtual_s == 0` is a zero
+/// window on the same timer path: the tick is due at once, so transitions
+/// coalesce only while one is already pending (tests pin that both shapes
+/// deliver identical digests and gamma envelopes).  The defaults here are
+/// THE batched harness defaults — RuntimeConfig and the scenario registry
+/// inherit them, so the flush window is tuned in exactly one place; raw
+/// SocketOptions overrides to flush 0.  Transports without contention
+/// accounting ignore this.
 struct GossipConfig {
   double flush_virtual_s = 0.005;
   int max_batch = 128;

@@ -14,16 +14,13 @@
 // ones by kMaxPayloadBytes, so a corrupt or truncated header fails loudly
 // instead of driving a gigabyte allocation.
 //
-// Two consumers sit on top of the frame format:
-//
-//   * the blocking rendezvous handshake (send_all/recv_all in
-//     socket_transport.cpp) encodes/decodes one frame at a time;
-//   * the reactor (net/reactor.hpp) pumps non-blocking fds through
-//     FrameReader (incremental parse across partial reads; a payload sink
-//     lets a kHit land straight in the requester's buffer) and SendQueue
-//     (buffered partial writes, scatter/gather flush: a kHit header and its
-//     sample payload leave in one sendmsg, the payload sent from the
-//     server's cached buffer itself).
+// Every frame, the rendezvous handshake included, moves through the
+// reactor (net/reactor.hpp), which pumps non-blocking fds through
+// FrameReader (incremental parse across partial reads; a payload sink lets
+// a kHit land straight in the requester's buffer) and SendQueue (buffered
+// partial writes, scatter/gather flush: a kHit header and its sample
+// payload leave in one sendmsg, the payload sent from the server's cached
+// buffer itself).
 //
 // DESIGN.md Sec. 7 documents the message exchange on top of these frames.
 

@@ -333,7 +333,7 @@ RankDevices make_rank_devices(const RuntimeConfig& config, net::Transport& trans
     existing = devices.cluster.get();
   }
   devices.worker = &existing->worker(transport.rank());
-  if (transport.world_size() > 1 && config.shared_pfs_contention) {
+  if (transport.world_size() > 1) {
     devices.shared_pfs = std::make_unique<net::SharedPfs>(
         existing->clock(), config.system.pfs, config.time_scale, transport);
     devices.pfs = devices.shared_pfs.get();

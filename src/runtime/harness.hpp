@@ -54,18 +54,13 @@ struct RuntimeConfig {
   bool verify_content = false;
   /// Skip the compute sleep entirely (pure I/O benchmark).
   bool skip_compute = false;
-  /// Multi-process runs: price PFS contention against the JOB-WIDE reader
-  /// count via net::SharedPfs and the transport's gamma protocol (DESIGN.md
-  /// Sec. 7.4).  Opt out to restore the historical per-process pricing,
-  /// where each process's t(gamma) curve sees only its own readers.
-  bool shared_pfs_contention = true;
   /// Shape of the batched gamma gossip (multi-process runs): reader threads
   /// enqueue transitions, the transport's gossip timer drains them as one
   /// net kPfsDelta per flush window.  The GossipConfig defaults coalesce a few
   /// virtual milliseconds of transitions per frame, which keeps worlds
-  /// >> 10 ranks cheap; flush_virtual_s = 0 restores the per-transition
-  /// sends (tests pin that both shapes produce identical digests and gamma
-  /// envelopes).
+  /// >> 10 ranks cheap; flush_virtual_s = 0 is a zero window, its tick due
+  /// at once (tests pin that both shapes produce identical digests and
+  /// gamma envelopes).
   net::GossipConfig pfs_gossip;
   /// Weight every rank's gamma contribution by its reader-thread fan-out
   /// (StagingPrefetcher + ClassPrefetcher threads for the NoPFS loader,
@@ -100,9 +95,9 @@ struct RuntimeResult {
   /// SocketTransport run must reproduce the SimTransport digest.
   std::uint64_t delivered_digest = 0;
   /// Highest PFS gamma any rank's PFS device observed (job-wide max after
-  /// the stats allgather).  The gamma-trace envelope: in shared-contention
-  /// mode it matches the threaded harness; in per-process mode it cannot
-  /// exceed 1, which is exactly the documented historical deviation.
+  /// the stats allgather).  The gamma-trace envelope: a multi-process run
+  /// prices reads at the job-wide gamma, so it matches the threaded
+  /// harness's.
   int pfs_peak_gamma = 0;
   /// Event loop that carried this rank's transport ("epoll", or "none" for
   /// thread-worker/SimTransport runs).  Kept for its perfbench users only
@@ -129,7 +124,7 @@ struct RuntimeResult {
 /// make_rank_devices — the device-factory seam between launch modes.
 struct RankDevices {
   tiers::WorkerDevices* worker = nullptr;  ///< this rank's node devices
-  tiers::PfsDevice* pfs = nullptr;         ///< shared or per-process PFS view
+  tiers::PfsDevice* pfs = nullptr;         ///< the PFS view reads are priced by
 
   // Ownership; populated only for the parts the factory had to build.
   std::unique_ptr<tiers::Clock> clock;
@@ -137,10 +132,10 @@ struct RankDevices {
   std::unique_ptr<tiers::PfsDevice> shared_pfs;
 };
 
-/// Builds the devices for the rank `transport` represents.  With
-/// `config.shared_pfs_contention` and a world size above one the PFS view
-/// is a net::SharedPfs wired to the transport's gamma protocol; otherwise
-/// it is the cluster's per-process EmulatedPfs.  Pass `existing` to reuse
+/// Builds the devices for the rank `transport` represents.  With a world
+/// size above one the PFS view is a net::SharedPfs wired to the transport's
+/// gamma protocol, so every read is priced at the job-wide t(gamma); a
+/// solo rank reads the cluster's EmulatedPfs.  Pass `existing` to reuse
 /// an already built cluster (it must outlive the result).
 [[nodiscard]] RankDevices make_rank_devices(const RuntimeConfig& config,
                                             net::Transport& transport,
@@ -153,8 +148,8 @@ struct RankDevices {
 /// stats, verification counts and the delivered digest are allgathered, so
 /// every rank returns the same job-wide totals.  `cluster` supplies this
 /// rank's emulated devices; pass nullptr to have the harness build one.
-/// Either way the PFS view is chosen by make_rank_devices: job-wide shared
-/// contention by default, per-process when opted out (DESIGN.md Sec. 7.4).
+/// Either way the PFS view is built by make_rank_devices: job-wide shared
+/// contention (DESIGN.md Sec. 7.4).
 [[nodiscard]] RuntimeResult run_distributed(const data::Dataset& dataset,
                                             const RuntimeConfig& config,
                                             net::Transport& transport,

@@ -450,10 +450,9 @@ SweepServiceReport run_sweep_service(
       scheduler.submit(cell, std::move(one));
     };
     try {
-      // A pull that reaches rank 0 before the service is installed is a
-      // protocol error that closes the worker's channel, so workers of a
-      // fixed world pull only after this barrier.
-      if (distributed && !options.elastic) transport->barrier();
+      // No start barrier: a worker's pull that reaches rank 0 before the
+      // service above is installed is parked by the transport and answered
+      // once it is, in every world.
       report.stats.executed_cells = pull_cells(threads, pull);
       // A worker enters the final barrier only after a pull it sent with
       // no cell in flight answered done, and that reply orders AFTER the
@@ -527,7 +526,6 @@ SweepServiceReport run_sweep_service(
       batch.results = std::move(results);
       transport->sweep_push_result(wire::encode_sweep_result_batch(batch));
     };
-    if (!options.elastic) transport->barrier();  // rank 0's service is installed
     report.stats.executed_cells = pull_cells(threads, pull);
     if (!options.elastic) transport->barrier();
   }

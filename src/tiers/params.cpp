@@ -91,7 +91,7 @@ SystemParams sim_cluster(int num_workers) {
   // Fig. 8 policy ratios the paper reports.  The raw IOR-style numbers in
   // Sec. 6.1 (t(4)=1540 MB/s etc.) describe large-transfer bandwidth; under
   // them a 4-worker cluster with c=64 MB/s is compute-bound for every
-  // policy, which contradicts the paper's own Fig. 8 — see EXPERIMENTS.md.
+  // policy, which contradicts the paper's own Fig. 8 — see DESIGN.md Sec. 3.
   sys.pfs.agg_read_mbps = Curve({{1, 120}, {2, 180}, {4, 240}, {8, 280}});
   return sys;
 }

@@ -1,7 +1,7 @@
 // Shape-regression tests: the paper's headline qualitative results, pinned
 // as assertions at reduced scale (1/16 datasets + capacities, same regime
 // boundaries).  If a model or policy change breaks one of these, the
-// corresponding figure in EXPERIMENTS.md no longer reproduces.
+// corresponding figure (DESIGN.md Sec. 3) no longer reproduces.
 
 #include <gtest/gtest.h>
 

@@ -266,7 +266,7 @@ std::vector<std::unique_ptr<SocketTransport>> make_pair_world() {
 
 TEST(ReactorTransport, DozensInFlightInterleavedWithGossip) {
   // The ticket API keeps a deep train of kFetch frames on rank 1's single
-  // channel to rank 0 while unary kPfsDelta frames ride the SAME
+  // channel to rank 0 while zero-window kPfsDelta frames ride the SAME
   // connection between them.  Every reply must land on the ticket that
   // issued it (payload encodes the id), misses must resolve at their exact
   // positions, and the contention counter must drain back to zero — the
@@ -293,8 +293,9 @@ TEST(ReactorTransport, DozensInFlightInterleavedWithGossip) {
     for (int i = 0; i < kDepth; ++i) {
       const auto id = static_cast<std::uint64_t>(round * kDepth + i);
       window.emplace_back(id, endpoints[1]->fetch_sample_start(0, id));
-      // Interleave contention traffic between the queued fetches: unary
-      // mode sends each delta immediately, on the same channel session.
+      // Interleave contention traffic between the queued fetches: a zero
+      // gossip window sends each delta at once, on the same channel
+      // session.
       if (i % 8 == 0) endpoints[1]->pfs_adjust(+1);
       if (i % 8 == 4) endpoints[1]->pfs_adjust(-1);
     }

@@ -5,7 +5,8 @@
 //   * protocol: weighted kPfsDelta frames (possibly many transitions
 //     coalesced into one) reach rank 0's authoritative counter and the new
 //     gamma gossips back as coalesced kPfsGamma broadcasts;
-//   * batching: flush interval 0 (per-transition sends) and large batching
+//   * batching: flush interval 0 (a zero window, its tick due at once) and
+//     large batching
 //     must be observationally equivalent — identical delivered digests,
 //     exact pfs_fetches, equal gamma envelopes — on the contention-heavy
 //     scenario, and queued deltas are FLUSHED (not dropped) at teardown so
@@ -15,10 +16,7 @@
 //     modes (EmulatedPfs and SharedPfs apply the same weights);
 //   * parity: a 2-rank socket world reproduces the threaded harness's
 //     delivered digest, PFS totals (within 1%) and gamma-trace envelope on
-//     a contention-heavy config;
-//   * divergence: the old per-process mode cannot see job-wide gamma (its
-//     peak stays at 1) — the documented deviation this protocol closes —
-//     while the digest still matches, because gamma only skews pricing.
+//     a contention-heavy config.
 
 #include <gtest/gtest.h>
 
@@ -435,8 +433,8 @@ TEST(SharedPfsParity, TwoRankSocketWorldMatchesThreadedContention) {
 
 TEST(SharedPfsParity, BatchedAndUnaryGossipAreObservationallyEquivalent) {
   // The batching acceptance gate: the same contention-heavy scenario run
-  // with flush interval 0 (every transition on the wire, the historical
-  // protocol) and with coarse batching (the "contention-batched-socket"
+  // with flush interval 0 (a zero window: each transition's tick due at
+  // once) and with coarse batching (the "contention-batched-socket"
   // registry shape: 5 ms real flush windows, 512-transition batches) must
   // be indistinguishable in everything the protocol promises — delivered
   // digest bit-for-bit, exact pfs_fetches, equal gamma envelope.  Batching
@@ -458,27 +456,6 @@ TEST(SharedPfsParity, BatchedAndUnaryGossipAreObservationallyEquivalent) {
   EXPECT_EQ(batched_results[0].stats.pfs_fetches, unary_results[0].stats.pfs_fetches);
   EXPECT_EQ(batched_results[0].pfs_peak_gamma, unary_results[0].pfs_peak_gamma);
   EXPECT_EQ(batched_results[1].pfs_peak_gamma, unary_results[1].pfs_peak_gamma);
-}
-
-TEST(SharedPfsParity, PerProcessOptOutDivergesOnGammaOnly) {
-  const auto dataset = contention_dataset();
-  runtime::RuntimeConfig config = contention_config(2);
-  config.shared_pfs_contention = false;  // the historical per-process mode
-
-  const runtime::RuntimeResult threaded = runtime::run_training(dataset, config);
-  const auto results = run_socket_world(dataset, config);
-
-  // The old mode is measurably wrong on contention: each process's PFS view
-  // sees at most its own rank, so the job-wide envelope is stuck at 1 while
-  // the threaded reference reaches 2.
-  ASSERT_EQ(threaded.pfs_peak_gamma, 2);
-  EXPECT_EQ(results[0].pfs_peak_gamma, 1);
-  EXPECT_LT(results[0].pfs_peak_gamma, threaded.pfs_peak_gamma);
-
-  // ...but gamma only skews pricing, never which sample is delivered: the
-  // digest identity contract must keep holding bit-for-bit.
-  EXPECT_EQ(results[0].delivered_digest, threaded.delivered_digest);
-  EXPECT_EQ(results[0].stats.pfs_fetches, threaded.stats.pfs_fetches);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -876,6 +877,157 @@ TEST(SocketTransport, WorldSizeDisagreementFailsHandshake) {
   root.join();
   peer.join();
   EXPECT_GE(failures.load(), 1);
+}
+
+/// A fake rank 0 on a raw socket: listens on `port`, accepts one peer,
+/// reads its kHello and hands the connection to `respond`.
+class FakeRoot {
+ public:
+  explicit FakeRoot(std::uint16_t port) {
+    listener_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int one = 1;
+    ::setsockopt(listener_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    if (::bind(listener_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::listen(listener_, 4) != 0) {
+      ::close(listener_);
+      throw std::runtime_error("fake root: cannot listen");
+    }
+  }
+  ~FakeRoot() {
+    if (conn_ >= 0) ::close(conn_);
+    ::close(listener_);
+  }
+  FakeRoot(const FakeRoot&) = delete;
+  FakeRoot& operator=(const FakeRoot&) = delete;
+
+  /// Accepts the peer and reads its whole kHello; true on success.
+  bool accept_hello() {
+    pollfd pfd{listener_, POLLIN, 0};
+    if (::poll(&pfd, 1, 20'000) != 1) return false;
+    conn_ = ::accept(listener_, nullptr, nullptr);
+    if (conn_ < 0) return false;
+    std::uint8_t header[wire::kHeaderBytes];
+    if (!read_exactly(header, sizeof(header))) return false;
+    const wire::FrameHeader decoded = wire::decode_header(header);
+    if (decoded.type != wire::MsgType::kHello) return false;
+    Bytes payload(decoded.payload_len);
+    return read_exactly(payload.data(), payload.size());
+  }
+
+  void hang_up() {
+    ::close(conn_);
+    conn_ = -1;
+  }
+
+  void send_frame(wire::MsgType type, const Bytes& payload) {
+    std::uint8_t header[wire::kHeaderBytes];
+    wire::encode_header(header, type, 0, static_cast<std::uint32_t>(payload.size()));
+    (void)::send(conn_, header, sizeof(header), MSG_NOSIGNAL);
+    (void)::send(conn_, payload.data(), payload.size(), MSG_NOSIGNAL);
+  }
+
+ private:
+  bool read_exactly(std::uint8_t* out, std::size_t len) {
+    while (len > 0) {
+      const ssize_t n = ::recv(conn_, out, len, 0);
+      if (n <= 0) return false;
+      out += n;
+      len -= static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  int listener_ = -1;
+  int conn_ = -1;
+};
+
+SocketOptions peer_of_two(std::uint16_t port, double timeout_s) {
+  SocketOptions options;
+  options.rank = 1;
+  options.world_size = 2;
+  options.rendezvous_port = port;
+  options.timeout_s = timeout_s;
+  return options;
+}
+
+TEST(SocketTransport, PeerHandshakeTimesOutNamingTheRendezvous) {
+  // The root accepts the peer and never answers its kHello.  The peer's
+  // wait for kWelcome is bounded by timeout_s, and the error says which
+  // rendezvous went silent.
+  const std::uint16_t port = pick_free_port();
+  FakeRoot root(port);
+  std::promise<bool> hello_read;
+  std::thread root_thread([&] { hello_read.set_value(root.accept_hello()); });
+  constexpr double kTimeoutS = 1.0;
+  const auto start = std::chrono::steady_clock::now();
+  std::string error;
+  try {
+    SocketTransport transport(peer_of_two(port, kTimeoutS));
+  } catch (const std::runtime_error& ex) {
+    error = ex.what();
+  }
+  const double took_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  root_thread.join();
+  EXPECT_TRUE(hello_read.get_future().get());
+  EXPECT_LT(took_s, kTimeoutS + 2.0);
+  EXPECT_NE(error.find("rendezvous"), std::string::npos) << error;
+  EXPECT_NE(error.find("127.0.0.1:" + std::to_string(port)), std::string::npos)
+      << error;
+}
+
+TEST(SocketTransport, PeerHandshakeFailsAtOnceWhenTheRootHangsUp) {
+  // A root that closes the connection before kWelcome fails the peer's
+  // wait when the close arrives, not when timeout_s runs out.
+  const std::uint16_t port = pick_free_port();
+  FakeRoot root(port);
+  std::thread root_thread([&] {
+    if (root.accept_hello()) root.hang_up();
+  });
+  constexpr double kTimeoutS = 20.0;
+  const auto start = std::chrono::steady_clock::now();
+  std::string error;
+  try {
+    SocketTransport transport(peer_of_two(port, kTimeoutS));
+  } catch (const std::runtime_error& ex) {
+    error = ex.what();
+  }
+  const double took_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  root_thread.join();
+  EXPECT_LT(took_s, kTimeoutS / 2);
+  EXPECT_NE(error.find("before kWelcome"), std::string::npos) << error;
+}
+
+TEST(SocketTransport, PeerRefusesAWelcomeOfAnotherProtocolRevision) {
+  const std::uint16_t port = pick_free_port();
+  FakeRoot root(port);
+  std::thread root_thread([&] {
+    if (!root.accept_hello()) return;
+    // A well-formed endpoint table for a world of 2, led by the wrong
+    // revision.
+    Bytes welcome;
+    wire::put_u32(welcome, wire::kProtocolVersion + 1);
+    for (int r = 0; r < 2; ++r) {
+      wire::put_u32(welcome, htonl(INADDR_LOOPBACK));
+      wire::put_u16(welcome, static_cast<std::uint16_t>(port + 1));
+    }
+    root.send_frame(wire::MsgType::kWelcome, welcome);
+  });
+  std::string error;
+  try {
+    SocketTransport transport(peer_of_two(port, 20.0));
+  } catch (const std::runtime_error& ex) {
+    error = ex.what();
+  }
+  root_thread.join();
+  EXPECT_NE(error.find("protocol " + std::to_string(wire::kProtocolVersion + 1)),
+            std::string::npos)
+      << error;
 }
 
 }  // namespace

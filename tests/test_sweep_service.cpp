@@ -483,10 +483,10 @@ TEST(SweepService, ThreeRankSocketWorldMatchesSerialDigest) {
   }
 }
 
-TEST(SweepService, ElasticPullBeforeTheServiceIsInstalledIsAnsweredOnce) {
-  // An elastic world has no start barrier: rank 1 pulls while rank 0 has
-  // not installed its service yet.  Rank 0 parks the pull and answers it
-  // at installation, so rank 1 still wins grants and runs cells instead of
+void pull_before_the_service_is_installed(bool elastic) {
+  // Neither world has a start barrier: rank 1 pulls while rank 0 has not
+  // installed its service yet.  Rank 0 parks the pull and answers it at
+  // installation, so rank 1 still wins grants and runs cells instead of
   // losing its channel and quitting empty-handed.
   constexpr std::uint64_t kCells = 40;
   const std::uint64_t signature = 0x515705u;
@@ -497,7 +497,7 @@ TEST(SweepService, ElasticPullBeforeTheServiceIsInstalledIsAnsweredOnce) {
   };
   SweepServiceOptions service;
   service.num_threads = 1;
-  service.elastic = true;
+  service.elastic = elastic;
 
   std::vector<SweepServiceReport> reports(2);
   std::vector<std::string> errors(2);
@@ -528,11 +528,24 @@ TEST(SweepService, ElasticPullBeforeTheServiceIsInstalledIsAnsweredOnce) {
   const SweepServiceReport& root = reports[0];
   EXPECT_EQ(root.stats.completed_cells, kCells);
   EXPECT_GT(reports[1].stats.executed_cells, 0u) << "rank 1 never got a grant";
-  // No final barrier in an elastic world: a tail duplicate whose result
-  // lands after rank 0 returned is executed but never folded.
-  EXPECT_GE(root.stats.executed_cells + reports[1].stats.executed_cells, kCells);
+  const std::uint64_t executed =
+      root.stats.executed_cells + reports[1].stats.executed_cells;
+  EXPECT_GE(executed, kCells);
+  if (!elastic) {
+    // The fixed world's final barrier folds every executed cell.  An
+    // elastic world has none: a tail duplicate whose result lands after
+    // rank 0 returned is executed but never folded.
+    EXPECT_EQ(executed, kCells + root.stats.duplicate_cells);
+  }
   EXPECT_EQ(sweep_results_digest(root.results),
             sweep_results_digest(direct_results(kCells)));
+}
+
+TEST(SweepService, ElasticPullBeforeTheServiceIsInstalledIsAnsweredOnce) {
+  for (const bool elastic : {true, false}) {
+    SCOPED_TRACE(elastic ? "elastic world" : "fixed world");
+    pull_before_the_service_is_installed(elastic);
+  }
 }
 
 void interrupt_then_resume(int threads) {
