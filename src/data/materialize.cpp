@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -12,61 +13,85 @@
 
 namespace nopfs::data {
 
+// The kernel stores each content word with memcpy, so native byte order
+// must be the spec's little-endian order.
+static_assert(std::endian::native == std::endian::little,
+              "content words are stored in native order; sample_byte() is little-endian");
+
 namespace {
 
-// The content kernel: bytes [first, first + n) of sample k.  It is
-// sample_byte() with the offset term kept as a running sum (one add per
-// byte instead of a multiply), which is what lets the loop vectorize; the
-// result is bit-identical because both wrap modulo 2^64.
-[[gnu::always_inline]] inline void fill_loop(SampleId k, std::uint64_t first,
+// sample_word()'s finalizer.
+[[gnu::always_inline]] inline std::uint64_t mix(std::uint64_t x) noexcept {
+  x ^= x >> 29;
+  x *= 0x94d049bb133111ebULL;
+  return x ^ (x >> 32);
+}
+
+// The content kernel: sample k's words from `first_word` on, n bytes in
+// all.  It is sample_word() with the word term kept as a running sum (one
+// add per word instead of a multiply), which is what lets the loop
+// vectorize; the result is bit-identical because both wrap modulo 2^64.
+// A start is a word index, so an unaligned start cannot be expressed; a
+// length that is not a multiple of 8 ends in a partial word.
+[[gnu::always_inline]] inline void fill_loop(SampleId k, std::uint64_t first_word,
                                              std::uint8_t* out, std::size_t n) noexcept {
-  constexpr std::uint64_t kOffsetMul = 0xbf58476d1ce4e5b9ULL;
-  std::uint64_t x0 = k * 0x9e3779b97f4a7c15ULL + first * kOffsetMul + 0x1234567ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t x = x0 ^ (x0 >> 29);
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 32;
-    out[i] = static_cast<std::uint8_t>(x);
-    x0 += kOffsetMul;
+  constexpr std::uint64_t kWordMul = 0xbf58476d1ce4e5b9ULL;
+  std::uint64_t x0 = k * 0x9e3779b97f4a7c15ULL + first_word * kWordMul + 0x1234567ULL;
+  const std::size_t words = n / 8;
+  for (std::size_t i = 0; i < words; ++i) {
+    const std::uint64_t x = mix(x0);
+    std::memcpy(out + 8 * i, &x, sizeof x);
+    x0 += kWordMul;
+  }
+  if (const std::size_t tail = n % 8; tail != 0) {
+    const std::uint64_t x = mix(x0);
+    std::memcpy(out + 8 * words, &x, tail);
   }
 }
 
-using FillFn = void (*)(SampleId, std::uint64_t, std::uint8_t*, std::size_t) noexcept;
+using FillFn = void (*)(SampleId, std::uint64_t, std::span<std::uint8_t>) noexcept;
 
-void fill_default(SampleId k, std::uint64_t first, std::uint8_t* out,
-                  std::size_t n) noexcept {
-  fill_loop(k, first, out, n);
-}
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-// The same loop compiled for x86-64-v4 (AVX-512 F/BW/DQ/VL), picked once at
-// run time: that set has the 64-bit lane multiply (vpmullq) and the
-// quadword-to-byte narrowing (vpmovqb) the loop needs.  An AVX2 build of
-// the loop, which must emulate both, did not beat the baseline one by more
-// than the run-to-run spread (DESIGN.md Sec. 6.4), so there is none.
-[[gnu::target("avx512f,avx512bw,avx512dq,avx512vl")]] void fill_avx512(
-    SampleId k, std::uint64_t first, std::uint8_t* out, std::size_t n) noexcept {
-  fill_loop(k, first, out, n);
-}
-
+#ifdef NOPFS_CONTENT_AVX512
+// Picked once at run time.  x86-64-v4 has the 64-bit lane multiply
+// (vpmullq) the loop needs; the baseline ISA must emulate it.  AVX2 must
+// emulate it too: an AVX2 build of the byte-per-mix kernel did not beat
+// the baseline one by more than the run-to-run spread (DESIGN.md Sec.
+// 6.4), and none of this kernel has been measured on an AVX2-only host,
+// so there is none.
 FillFn resolve_fill() noexcept {
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
       __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl")) {
-    return fill_avx512;
+    return detail::fill_content_avx512;
   }
-  return fill_default;
+  return detail::fill_content_baseline;
 }
 #else
-FillFn resolve_fill() noexcept { return fill_default; }
+FillFn resolve_fill() noexcept { return detail::fill_content_baseline; }
 #endif
 
-void fill_range(SampleId k, std::uint64_t first, std::span<std::uint8_t> out) noexcept {
+void fill_range(SampleId k, std::uint64_t first_word, std::span<std::uint8_t> out) noexcept {
   static const FillFn fill = resolve_fill();
-  fill(k, first, out.data(), out.size());
+  fill(k, first_word, out);
 }
 
 }  // namespace
+
+namespace detail {
+
+void fill_content_baseline(SampleId k, std::uint64_t first_word,
+                           std::span<std::uint8_t> out) noexcept {
+  fill_loop(k, first_word, out.data(), out.size());
+}
+
+#ifdef NOPFS_CONTENT_AVX512
+[[gnu::target("avx512f,avx512bw,avx512dq,avx512vl")]] void fill_content_avx512(
+    SampleId k, std::uint64_t first_word, std::span<std::uint8_t> out) noexcept {
+  fill_loop(k, first_word, out.data(), out.size());
+}
+#endif
+
+}  // namespace detail
 
 void fill_sample_content(SampleId k, std::span<std::uint8_t> out) noexcept {
   fill_range(k, 0, out);
@@ -74,10 +99,11 @@ void fill_sample_content(SampleId k, std::span<std::uint8_t> out) noexcept {
 
 bool verify_sample_content(SampleId k, std::span<const std::uint8_t> bytes) noexcept {
   constexpr std::size_t kChunk = 4096;
+  static_assert(kChunk % 8 == 0, "chunks must start on a content word");
   std::array<std::uint8_t, kChunk> expected{};
   for (std::size_t at = 0; at < bytes.size(); at += kChunk) {
     const std::size_t n = std::min(kChunk, bytes.size() - at);
-    fill_range(k, at, std::span(expected).first(n));
+    fill_range(k, at / 8, std::span(expected).first(n));
     if (std::memcmp(expected.data(), bytes.data() + at, n) != 0) return false;
   }
   return true;
